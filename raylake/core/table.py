@@ -950,8 +950,9 @@ class Table:
         return out
 
     def _load_delete_keys(self, snapshot: int | None = None):
-        """[(seq, key_cols, keys_table)] — driver-side, bounded."""
-        from raylake.core.deletes import MAX_SCAN_DELETE_KEYS
+        """[(seq, key_cols, KeySet)] — driver-side, bounded; each delete
+        file's key set is prepared once here for every file it filters."""
+        from raylake.core.deletes import MAX_SCAN_DELETE_KEYS, KeySet
 
         metas = self.delete_files_meta(snapshot)
         total = sum(d["rows"] for d in metas)
@@ -962,7 +963,7 @@ class Table:
                 f"to purge them physically")
         return [
             (d["seq"], d["key_cols"],
-             pq.read_table(os.path.join(self.root, d["path"])))
+             KeySet(pq.read_table(os.path.join(self.root, d["path"]))))
             for d in metas if d.get("kind") != "pos"
         ]
 
@@ -1079,7 +1080,7 @@ class Table:
                     if columns is not None else None)
             ds = self.scan(snapshot=snapshot, columns=need, entries=ents,
                            apply_deletes=False, **read_kwargs)
-            dels_ref = ray.put([(loaded[i][1], loaded[i][2]) for i in app])
+            dels_ref = ray.put([loaded[i][2] for i in app])
             project = columns
 
             def fn(t: pa.Table, dels_ref=dels_ref, project=project) -> pa.Table:
@@ -1125,8 +1126,7 @@ class Table:
                     t = apply_positions(t, pm[p])
                     app = Table._applicable_seq(sa, dl)
                     if app:
-                        t = filter_deleted(
-                            t, [(dl[i][1], dl[i][2]) for i in app])
+                        t = filter_deleted(t, [dl[i][2] for i in app])
                     if project is not None:
                         t = t.select(project)
                     tabs.append(t)
@@ -1180,8 +1180,7 @@ class Table:
 
                     t = apply_positions(t, pos)
                 if app:
-                    t = filter_deleted(
-                        t, [(loaded[i][1], loaded[i][2]) for i in app])
+                    t = filter_deleted(t, [loaded[i][2] for i in app])
                 # Project unconditionally: entries WITHOUT applicable deletes
                 # were read with the sorted key-superset column order, so a
                 # mixed-applicability concat would raise ArrowInvalid (and an

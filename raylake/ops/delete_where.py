@@ -71,7 +71,7 @@ def scan_with_lineage(table: Table, columns: list[str] | None = None,
     def read_one(b: pa.Table) -> pa.Table:
         import os
 
-        from raylake.core.deletes import apply_positions, delete_keep_mask
+        from raylake.core.deletes import apply_positions, filter_deleted
 
         dl = ray.get(dels_ref) if dels_ref is not None else []
         pm = ray.get(pos_ref) if pos_ref is not None else {}
@@ -88,10 +88,7 @@ def scan_with_lineage(table: Table, columns: list[str] | None = None,
                 t = apply_positions(t, pm[rel])
             app = Table._applicable_seq(sa, dl)
             if app:
-                mask = delete_keep_mask(t, [(dl[i][1], dl[i][2])
-                                            for i in app])
-                if not mask.all():
-                    t = t.filter(pa.array(mask))
+                t = filter_deleted(t, [dl[i][2] for i in app])
             if project is not None:
                 t = t.select(project)
             out.append(t)

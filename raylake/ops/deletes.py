@@ -41,7 +41,7 @@ def plan_apply_deletes(table: Table, max_task_bytes: int) -> tuple[list[RewriteT
     # null keys can't be excluded by min/max stats → (has_null, sorted)
     sorted_keys = []
     for _, key_cols, keys in loaded:
-        vals = keys[key_cols[0]].to_pylist()
+        vals = keys.sets[key_cols[0]].to_pylist()
         nonnull = [v for v in vals if v is not None]
         sorted_keys.append((len(nonnull) < len(vals), sorted(nonnull)))
 

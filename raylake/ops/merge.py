@@ -52,6 +52,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from raylake.core.deletes import KeySet
 from raylake.core.hashing import partition_of
 from raylake.core.table import Table
 from raylake.functions.cleaning import normalize_schema, null_safe_changed
@@ -400,28 +401,16 @@ def last_writer_wins(
     return comb.filter(pa.array(last_np)).drop(["__prio", "__ord"])
 
 
-def _composite_key64(tbl: pa.Table, k0: str, k1: str | None) -> np.ndarray:
-    """Numeric 64-bit composite key for hash matching: hash64(k0) rotated,
-    xor the secondary key. Collisions are possible in principle, so every
-    hash match is verified exactly before it drops a target row."""
-    from raylake.core.hashing import stable_hash64
-
-    kh = stable_hash64(tbl[k0])
-    if k1 is not None:
-        sec = tbl[k1].cast(pa.int64()).to_numpy().astype(np.uint64)
-        kh = ((kh << np.uint64(13)) | (kh >> np.uint64(51))) ^ sec
-    return kh
-
-
 def _merge_task(table: Table, task: dict, params: dict) -> dict:
     """Targeted update: the source slice is small relative to the target
     file group, so instead of concat+global-sort+dedup (three full passes of
     gather over wide `text` rows — memory-bandwidth death at high
-    parallelism) we hash-match source keys against target rows, drop the
-    matched targets, and append the winning source rows. One filter pass +
-    one write; unchanged rows are never re-ordered. Output files carry
-    manifest stats as usual; scan-order guarantees come from the explicit
-    verification sort, not file order."""
+    parallelism) we match source keys exactly against target rows
+    (`KeySet`, one hash probe per key column), drop the matched targets,
+    and append the winning source rows. One filter pass + one write;
+    unchanged rows are never re-ordered. Output files carry manifest stats
+    as usual; scan-order guarantees come from the explicit verification
+    sort, not file order."""
     k0, k1 = table_keys(table)
     keys = [k0] + ([k1] if k1 else [])
     tgt = read_task_inputs(table, task)
@@ -477,20 +466,10 @@ def _merge_task(table: Table, task: dict, params: dict) -> dict:
     counters = {"staged_rows_read": staged_rows_read,
                 "staged_rows_used": len(src)}
     if params["mode"] == "scd2":
-        return {**_scd2_task_body(table, task, params, tgt, src, k0, k1, keys),
+        return {**_scd2_task_body(table, task, params, tgt, src, keys),
                 **counters}
 
-    tgt_kh = _composite_key64(tgt, k0, k1) if len(tgt) else np.empty(0, np.uint64)
-    src_kh = _composite_key64(src, k0, k1)
-    matched = np.isin(tgt_kh, src_kh)
-    if matched.any():
-        # verify hash matches exactly (collision guard) on the matched subset
-        midx = np.flatnonzero(matched)
-        sub = tgt.take(pa.array(midx)).select(keys)
-        spos = pd.MultiIndex.from_arrays([src[k].to_pandas() for k in keys])
-        tpos = pd.MultiIndex.from_arrays([sub[k].to_pandas() for k in keys])
-        really = tpos.isin(spos)
-        matched[midx[~np.asarray(really)]] = False
+    matched = KeySet(src.select(keys)).contains(tgt)
 
     if params["mode"] == "delete":
         if not matched.any():
@@ -517,18 +496,8 @@ def _merge_task(table: Table, task: dict, params: dict) -> dict:
             # change-data-feed capture (Delta CDF shape): the task knows
             # exactly which target rows it replaces and which source rows
             # are fresh — record them as update pre/post images + inserts.
-            # Exact-key membership (not hashes): mirrors the collision
-            # guard above.
-            pre = tgt.filter(pa.array(matched)) if matched.any() \
-                else tgt.schema.empty_table()
-            if len(pre):
-                tkeys = pd.MultiIndex.from_arrays(
-                    [pre[k].to_pandas() for k in keys])
-                skeys = pd.MultiIndex.from_arrays(
-                    [src[k].to_pandas() for k in keys])
-                upd = np.asarray(skeys.isin(tkeys))
-            else:
-                upd = np.zeros(len(src), bool)
+            pre = tgt.filter(pa.array(matched))
+            upd = KeySet(pre.select(keys)).contains(src)
             counters["cdc_files"] = _write_cdc_file(table, [
                 (pre, "update_preimage"),
                 (src.filter(pa.array(upd)), "update_postimage"),
@@ -575,7 +544,7 @@ SCD2_COLS = ("start_timestamp", "end_timestamp", "is_current")
 
 def _scd2_task_body(
     table: Table, task: dict, params: dict,
-    tgt: pa.Table, src: pa.Table, k0: str, k1: str | None, keys: list[str],
+    tgt: pa.Table, src: pa.Table, keys: list[str],
 ) -> dict:
     """Distributed SCD2 close-and-insert (MG2), the reference's two-statement
     merge (ref src/elt/silver/_silver_handler.py:156-192) run inside one
@@ -641,30 +610,13 @@ def _scd2_task_body(
         if len(tgt)
         else np.empty(0, bool)
     )
-    tgt_kh = _composite_key64(tgt, k0, k1) if len(tgt) else np.empty(0, np.uint64)
-    src_kh = _composite_key64(src, k0, k1)
-
-    # current target rows whose key appears in the source (hash match +
-    # exact verification — collisions must never close a row)
-    matched = np.isin(tgt_kh, src_kh) & cur_np
-    if matched.any():
-        midx = np.flatnonzero(matched)
-        sub = tgt.take(pa.array(midx)).select(keys)
-        spos = pd.MultiIndex.from_arrays([src[k].to_pandas() for k in keys])
-        tpos = pd.MultiIndex.from_arrays([sub[k].to_pandas() for k in keys])
-        matched[midx[~np.asarray(tpos.isin(spos))]] = False
+    # current target rows whose key appears in the source
+    matched = KeySet(src.select(keys)).contains(tgt) & cur_np
     midx = np.flatnonzero(matched)
 
-    # source rows whose key has a matched current target row (exact-verified)
-    smask = np.isin(src_kh, tgt_kh[midx]) if len(midx) else np.zeros(n_src, bool)
-    if smask.any():
-        sidx0 = np.flatnonzero(smask)
-        ssub = src.take(pa.array(sidx0)).select(keys)
-        tkeys = pd.MultiIndex.from_arrays(
-            [tgt.take(pa.array(midx))[k].to_pandas() for k in keys])
-        skeys = pd.MultiIndex.from_arrays([ssub[k].to_pandas() for k in keys])
-        smask[sidx0[~np.asarray(skeys.isin(tkeys))]] = False
-    sidx = np.flatnonzero(smask)
+    # source rows whose key has a matched current target row
+    sidx = np.flatnonzero(
+        KeySet(tgt.take(pa.array(midx)).select(keys)).contains(src))
 
     # align the two (unique-keyed) subsets by sorting on keys, then compare
     # tracked columns null-safely

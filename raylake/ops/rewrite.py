@@ -133,8 +133,9 @@ def read_task_inputs(table: Table, task: dict,
     # gets a NEW sequence number, so the delete files would stop applying to
     # it — skipping this would resurrect deleted rows (Iceberg's rule).
     # Memoized per Table instance: _rewrite_batch_inner loads one Table per
-    # task, so the manifest walk + delete-parquet reads happen at most once
-    # per task, and ONLY while delete files exist (they're transient — the
+    # task, so the manifest walk + delete-parquet reads (and each delete
+    # file's KeySet build) happen at most once per task, not once per input
+    # file, and ONLY while delete files exist (they're transient — the
     # purge op removes them); with no deletes this costs one snapshot read.
     cache = getattr(table, "_mor_state", None)
     if cache is None or cache[0] != snapshot:
@@ -163,8 +164,7 @@ def read_task_inputs(table: Table, task: dict,
 
             app = table._applicable_seq(seqmap.get(p, -1), loaded)
             if app:
-                t = filter_deleted(
-                    t, [(loaded[i][1], loaded[i][2]) for i in app])
+                t = filter_deleted(t, [loaded[i][2] for i in app])
         tabs.append(t)
     schema = table.schema
     if any(t.schema != schema for t in tabs):

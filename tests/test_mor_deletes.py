@@ -226,3 +226,65 @@ def test_mor_delete_key_validation_and_schema_guards(tbl, ray_session):
     t.rename_column("text", "body")
     t.refresh()
     assert "body" in t.schema.names
+
+
+def _scan_ds_keys(t: Table) -> list:
+    """(conv_id, turn_idx) of the distributed scan as Python values (pandas
+    would turn a nullable int64 column into float64)."""
+    return sorted(((r["conv_id"], r["turn_idx"]) for r in t.scan().take_all()),
+                  key=repr)
+
+
+def test_mor_int64_keys_beyond_2_53_stay_exact(tmp_table_root, ray_session):
+    """Keys are compared as int64, never through float64: with nulls on both
+    sides, deleting 2**53 must not also delete 2**53 + 1 (they are the same
+    float). Null matches null."""
+    big = 2**53
+    schema = pa.schema([("conv_id", pa.string()), ("turn_idx", pa.int64()),
+                        ("text", pa.string())])
+    t = Table.create(tmp_table_root, schema, partition_column="conv_id",
+                     num_buckets=2)
+    append(t, pa.table({"conv_id": ["c", "c", "c"],
+                        "turn_idx": pa.array([big, big + 1, None], pa.int64()),
+                        "text": ["a", "b", "n"]}, schema=schema))
+    t.refresh()
+    t.delete_by_keys(pa.table({"conv_id": ["c", "c"],
+                               "turn_idx": pa.array([big, None], pa.int64())}))
+    t.refresh()
+    assert t.scan_arrow()["turn_idx"].to_pylist() == [big + 1]
+    assert _scan_ds_keys(t) == [("c", big + 1)]
+    want = t.scan_arrow(sort=True)
+    assert apply_deletes(t) is not None
+    t.refresh()
+    assert t.delete_files_meta() == []
+    assert t.scan_arrow(sort=True).equals(want)
+    assert t.scan_arrow(apply_deletes=False)["text"].to_pylist() == ["b"]
+
+
+def test_mor_mixed_key_widths_delete_by_value(tbl, ray_session):
+    """Python-int key tables are int64; turn_idx is int32. The delete must
+    match by value, and a key outside the int32 range (2**40) must match
+    nothing — in scans, compaction and the purge — without raising."""
+    t = tbl
+    pre = _golden(t)
+    assert pre.schema.field("turn_idx").type == pa.int32()
+    c0, t0 = pre["conv_id"][0].as_py(), pre["turn_idx"][0].as_py()
+    c1 = pre["conv_id"][1].as_py()
+    keys = pa.table({"conv_id": [c0, c1], "turn_idx": [t0, 2**40]})
+    assert keys.schema.field("turn_idx").type == pa.int64()
+    t.delete_by_keys(keys)
+    t.refresh()
+    want = pre.slice(1)
+    assert _golden(t).equals(want)
+    assert _scan_ds_keys(t) == sorted(
+        zip(want["conv_id"].to_pylist(), want["turn_idx"].to_pylist()),
+        key=repr)
+    compact(t, target_file_bytes=512 * 1024)
+    t.refresh()
+    assert _golden(t).equals(want)
+    t.delete_by_keys(pa.table({"conv_id": [c1], "turn_idx": [2**40]}))
+    t.refresh()
+    assert apply_deletes(t, target_file_bytes=512 * 1024) is not None
+    t.refresh()
+    assert t.delete_files_meta() == []
+    assert _golden(t).equals(want)

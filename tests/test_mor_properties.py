@@ -92,3 +92,91 @@ def test_mor_interleavings_match_visible_set_model(ops, seed, tmp_path_factory,
     want = (model.sort_values(["conv_id", "turn_idx", "ts"], kind="mergesort")
             .reset_index(drop=True))
     pd.testing.assert_frame_equal(got, want)
+
+
+# --- the key-membership kernel against a set-of-tuples oracle --------------
+
+_NAN = object()  # the oracle's one NaN: NaN == NaN for float keys
+_POOLS = {
+    "string": (pa.string(), st.sampled_from(["", "a", "b", "ab", "é"])),
+    "int32": (pa.int32(), st.sampled_from([0, 1, -1, 7, 2**31 - 1, -2**31])),
+    "int64": (pa.int64(),
+              st.sampled_from([0, 1, 7, 2**53, 2**53 + 1, 2**63 - 1, -2**63])),
+    "timestamp": (pa.timestamp("us"),
+                  st.sampled_from([0, 1, 10**15, 10**15 + 1, -5])),
+    "float64": (pa.float64(),
+                st.sampled_from([0.0, -0.0, 1.5, float("nan"), 2.0**53])),
+}
+
+
+def _oracle_value(v):
+    return _NAN if isinstance(v, float) and v != v else v
+
+
+@st.composite
+def _kernel_case(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_POOLS)), min_size=1,
+                          max_size=3))
+    row = st.tuples(*[st.one_of(st.none(), _POOLS[k][1]) for k in kinds])
+    rows = draw(st.lists(row, max_size=40))
+    # keys: some drawn from the batch (hits), some fresh; duplicates allowed
+    picked = draw(st.lists(st.sampled_from(rows), max_size=8)) if rows else []
+    keys = picked + draw(st.lists(row, max_size=8))
+    keys = draw(st.permutations(keys + draw(st.lists(
+        st.sampled_from(keys), max_size=3)) if keys else []))
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=3)))
+    # an int32 column may meet an int64 key table (Python ints)
+    widen = draw(st.booleans())
+    return kinds, rows, keys, cuts, widen
+
+
+def _column(values, typ, cuts):
+    bounds = [0, *cuts, len(values)]
+    chunks = [values[a:b] for a, b in zip(bounds, bounds[1:])]
+    return pa.chunked_array([pa.array(c, typ) for c in chunks], typ)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_kernel_case(), dense=st.booleans())
+def test_key_kernel_matches_set_of_tuples_oracle(case, dense):
+    from unittest import mock
+
+    from raylake.core import deletes
+    from raylake.core.deletes import KeySet, delete_keep_mask
+
+    kinds, rows, keys, cuts, widen = case
+    names = [f"k{i}" for i in range(len(kinds))]
+    batch = pa.table({n: _column([r[i] for r in rows], _POOLS[k][0], cuts)
+                      for i, (n, k) in enumerate(zip(names, kinds))})
+    key_types = [pa.int64() if widen and k == "int32" else _POOLS[k][0]
+                 for k in kinds]
+    key_tab = pa.table({n: pa.array([r[i] for r in keys], t)
+                        for i, (n, t) in enumerate(zip(names, key_types))})
+    # dense: a tiny code limit densifies before every column after the first
+    with mock.patch.object(deletes, "_CODE_LIMIT", 2 if dense else
+                           deletes._CODE_LIMIT):
+        ks = KeySet(key_tab)
+        got = ks.contains(batch)
+        keep = delete_keep_mask(batch, [ks])
+    if dense and len(kinds) > 1 and len(ks.sets[names[1]]) > 1:
+        assert ks._dense[1] is not None  # the densify path ran
+    oracle = {tuple(map(_oracle_value, r)) for r in keys}
+    want = np.array([tuple(map(_oracle_value, r)) in oracle for r in rows],
+                    dtype=bool)
+    assert got.dtype == bool and got.shape == (len(rows),)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(keep, ~want)
+
+
+def test_key_kernel_incomparable_types_match_nothing():
+    """A key and a column with no common type never match (no implicit
+    string<->int parse) and never raise."""
+    from raylake.core.deletes import KeySet
+
+    ints = pa.table({"k": pa.array([1, 2], pa.int32())})
+    strs = pa.table({"k": ["1", "2"]})
+    assert not KeySet(strs).contains(ints).any()
+    assert not KeySet(ints).contains(strs).any()
+    utc = pa.table({"k": pa.array([0], pa.timestamp("us", "UTC"))})
+    naive = pa.table({"k": pa.array([0], pa.timestamp("us"))})
+    assert not KeySet(utc).contains(naive).any()
