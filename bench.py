@@ -261,7 +261,7 @@ def run_hotkey() -> dict:
                     "sec": sec,
                     "late_rows": len(late),
                     "rewritten_rows": snap.summary["rewritten_rows"],
-                    "task_cpu_s": round(snap.summary["task_wall_s"], 1),
+                    "task_cpu_s": round(snap.summary["task_cpu_s"], 1),
                     "merge_tasks": snap.summary.get(
                         "tasks", snap.summary["added_files"]),
                 }

@@ -1,11 +1,14 @@
 """Shared machinery for partitioned rewrite jobs (compact / zorder / merge).
 
-A rewrite job is: plan (pure, from manifest metadata) → execute the per-
-partition tasks on a Ray Data actor pool → single atomic replace-commit
-assembled from the checkpoint ledger. Tasks are the unit of parallelism AND
-of resume: each completed task's lineage (input files → output files) is
-ledger-recorded before the commit, so re-running the same job_id skips
-finished partitions (SURVEY §4, north_rule "resumable from checkpoint").
+A rewrite job is: plan (pure, from manifest metadata) → pack the per-
+partition tasks into one bin per CPU slot → run each bin as one Ray Data
+task → single atomic replace-commit assembled from the checkpoint ledger.
+Tasks are the unit of resume: each completed task's lineage (input files →
+output files) is ledger-recorded before the commit, so re-running the same
+job_id skips finished partitions (SURVEY §4, north_rule "resumable from
+checkpoint"). Bins are the unit of dispatch: every Ray task costs scheduling
+CPU however small its work (≈23 ms on a 1-CPU host), so a job pays that once
+per slot, not once per planned task (`pack_tasks`).
 
 Execution uses Ray Data's TASK pool (a plain function + fn_kwargs), NOT a
 per-job actor pool, deliberately: the per-task state here is one parsed
@@ -20,6 +23,7 @@ raylake/functions/similarity.py (ST1 pattern).
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 import time
@@ -133,9 +137,9 @@ def read_task_inputs(table: Table, task: dict,
     # gets a NEW sequence number, so the delete files would stop applying to
     # it — skipping this would resurrect deleted rows (Iceberg's rule).
     # Memoized per Table instance: _rewrite_batch_inner loads one Table per
-    # task, so the manifest walk + delete-parquet reads (and each delete
-    # file's KeySet build) happen at most once per task, not once per input
-    # file, and ONLY while delete files exist (they're transient — the
+    # bin, so the manifest walk + delete-parquet reads (and each delete
+    # file's KeySet build) happen at most once per bin, not once per task or
+    # input file, and ONLY while delete files exist (they're transient — the
     # purge op removes them); with no deletes this costs one snapshot read.
     cache = getattr(table, "_mor_state", None)
     if cache is None or cache[0] != snapshot:
@@ -195,52 +199,64 @@ def cut_and_write(
     ]
 
 
+def pack_tasks(tasks: list[RewriteTask], slots: int) -> list[list[RewriteTask]]:
+    """Deal `tasks` into `min(slots, len(tasks))` non-empty bins, largest
+    `input_bytes` first, each to the currently lightest bin (LPT). The
+    heaviest bin then holds at most `total/slots + max_task` bytes. Ties
+    break on the bin's task count, so zero-byte tasks (pure-insert merge
+    clusters) spread across bins instead of piling into the first one."""
+    n = min(slots, len(tasks))
+    bins: list[list[RewriteTask]] = [[] for _ in range(n)]
+    heap = [(0, 0, i) for i in range(n)]  # (bytes, tasks, bin index)
+    for t in sorted(tasks, key=lambda t: t.input_bytes, reverse=True):
+        nbytes, ntasks, i = heapq.heappop(heap)
+        bins[i].append(t)
+        heapq.heappush(heap, (nbytes + t.input_bytes, ntasks + 1, i))
+    return bins
+
+
 def _rewrite_batch(
     batch: pd.DataFrame, table_root: str, job_id: str, task_fn, params: dict
 ) -> pd.DataFrame:
-    """Task-pool body: one batch = one RewriteTask. Ledger-records each task
-    atomically before returning, making the job resumable."""
+    """Task-pool body: one batch row = one bin of RewriteTasks."""
     cap_arrow_threads(1)
-    if os.environ.get("RAYLAKE_PROFILE_TASKS"):  # debug aid, normally off
-        import cProfile
-        import uuid as _uuid
-
-        prof = cProfile.Profile()
-        prof.enable()
-        try:
-            return _rewrite_batch_inner(batch, table_root, job_id, task_fn, params)
-        finally:
-            prof.disable()
-            os.makedirs("/tmp/raylake_prof", exist_ok=True)
-            prof.dump_stats(f"/tmp/raylake_prof/{_uuid.uuid4().hex}.prof")
     return _rewrite_batch_inner(batch, table_root, job_id, task_fn, params)
 
 
 def _rewrite_batch_inner(batch, table_root, job_id, task_fn, params):
-    table = Table.load(table_root)  # one small JSON read per task
+    """Run each bin's tasks in sequence, ledger-recording each one
+    atomically as it finishes, making the job resumable task by task."""
+    table = Table.load(table_root)  # one small JSON read per bin
     ledger = Ledger(table_root, job_id)
+    # a bin Ray retries after a worker crash must not rewrite a task it
+    # already ledgered: that would orphan the first run's output files
+    done = ledger.completed()
     out = []
-    for tj in batch["task_json"]:
-        task = json.loads(tj)
-        t0 = time.monotonic()
-        res = task_fn(table, task, params)
-        wall = time.monotonic() - t0
-        rec = {
-            "partition": task["partition"],
-            "input_files": task["input_paths"],
-            "entries": [e.to_json() for e in res.get("entries", [])],
-            "replaced": res.get("replaced", []),
-            "rows": res.get("rows", 0),
-            "bytes": sum(e.bytes for e in res.get("entries", [])),
-            "skipped": res.get("skipped", False),
-            "wall_s": wall,
-        }
-        for k in ("staged_rows_read", "staged_rows_used", "cdc_files"):
-            if k in res:
-                rec[k] = res[k]
-        ledger.record(task["task_id"], rec)
-        out.append({"task_id": task["task_id"], "rows": rec["rows"], "wall_s": wall})
-    return pd.DataFrame(out)
+    for bin_json in batch["bin_json"]:
+        for task in json.loads(bin_json):
+            if task["task_id"] in done:
+                continue
+            t0, c0 = time.monotonic(), time.process_time()
+            res = task_fn(table, task, params)
+            wall = time.monotonic() - t0
+            rec = {
+                "partition": task["partition"],
+                "input_files": task["input_paths"],
+                "entries": [e.to_json() for e in res.get("entries", [])],
+                "replaced": res.get("replaced", []),
+                "rows": res.get("rows", 0),
+                "bytes": sum(e.bytes for e in res.get("entries", [])),
+                "skipped": res.get("skipped", False),
+                "wall_s": wall,
+                "cpu_s": time.process_time() - c0,
+            }
+            for k in ("staged_rows_read", "staged_rows_used", "cdc_files"):
+                if k in res:
+                    rec[k] = res[k]
+            ledger.record(task["task_id"], rec)
+            out.append({"task_id": task["task_id"], "rows": rec["rows"],
+                        "wall_s": wall})
+    return pd.DataFrame(out, columns=["task_id", "rows", "wall_s"])
 
 
 def run_rewrite_job(
@@ -256,7 +272,10 @@ def run_rewrite_job(
     removed_delete_paths: list[str] | None = None,
     branch: str | None = None,
 ):
-    """Execute tasks on an actor pool; commit once ALL tasks are ledgered.
+    """Execute tasks as one Ray task per bin; commit once ALL are ledgered.
+
+    There is one bin per CPU slot: the cluster's CPUs, capped by
+    `concurrency` (at most that many concurrent Ray tasks) when given.
 
     Returns the committed Snapshot, or None if the job is incomplete
     (`max_tasks` reached / crash) — call again with the same `job_id` to
@@ -308,11 +327,15 @@ def run_rewrite_job(
         todo = todo[:max_tasks]
 
     if todo:
+        slots = max(1, int(ray.cluster_resources().get("CPU", 4)))
+        if concurrency is not None:
+            slots = min(slots, concurrency)
+        bins = pack_tasks(todo, slots)
         ds = ray.data.from_items(
-            [{"task_json": json.dumps(asdict(t))} for t in todo]
+            [{"bin_json": json.dumps([asdict(t) for t in b])} for b in bins]
         )
         if concurrency is not None:
-            concurrency = min(concurrency, len(todo))
+            concurrency = min(concurrency, len(bins))
         ds.map_batches(
             _rewrite_batch,
             fn_kwargs={
@@ -356,6 +379,8 @@ def commit_from_ledger(table: Table, operation: str, meta: dict,
         "rewritten_rows": rewritten_rows,
         "rewritten_bytes": sum(r["bytes"] for r in done.values()),
         "task_wall_s": round(sum(r["wall_s"] for r in done.values()), 3),
+        "task_cpu_s": round(
+            sum(r.get("cpu_s", 0.0) for r in done.values()), 3),
     }
     if any("staged_rows_read" in r for r in done.values()):
         # merge read-amplification: Σ staged rows decoded across tasks vs the

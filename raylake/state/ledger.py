@@ -3,9 +3,10 @@
 Generalizes the only checkpointing the reference has (streaming
 `checkpointLocation`, ref: src/elt/bronze/_bronze_handler.py:83) into batch
 maintenance: every rewrite task atomically records
-`(job_id, task_id, input_files → output_files, rows, bytes, wall_s)` BEFORE
-the job's final commit. A re-run of the same job_id skips completed tasks and
-assembles the commit from the ledger (SURVEY §4 "checkpoint/resume").
+`(job_id, task_id, input_files → output_files, rows, bytes, wall_s, cpu_s)`
+BEFORE the job's final commit. A re-run of the same job_id skips completed
+tasks and assembles the commit from the ledger (SURVEY §4
+"checkpoint/resume").
 
 One JSON file per task (atomic tmp+rename) — no shared-file append races
 between concurrent actor tasks.
