@@ -66,6 +66,7 @@ def run_maintenance(
         "rows": s.summary["rewritten_rows"] if s else 0,
         "files_removed": s.summary["removed_files"] if s else 0,
         "files_added": s.summary["added_files"] if s else 0,
+        "task_wall_s": s.summary["task_wall_s"] if s else 0,
         "task_cpu_s": s.summary["task_cpu_s"] if s else 0,
     }
     total_rewritten += out["stages"]["compact"]["rows"]
@@ -75,6 +76,7 @@ def run_maintenance(
     out["stages"]["zorder"] = {
         "sec": round(time.monotonic() - t, 3),
         "rows": s.summary["rewritten_rows"] if s else 0,
+        "task_wall_s": s.summary["task_wall_s"] if s else 0,
         "task_cpu_s": s.summary["task_cpu_s"] if s else 0,
     }
     total_rewritten += out["stages"]["zorder"]["rows"]
@@ -86,6 +88,7 @@ def run_maintenance(
         "sec": round(time.monotonic() - t, 3),
         "rows": s.summary["rewritten_rows"] if s else 0,
         "skipped_tasks": s.summary["skipped_tasks"] if s else 0,
+        "task_wall_s": s.summary["task_wall_s"] if s else 0,
         "task_cpu_s": s.summary["task_cpu_s"] if s else 0,
     }
     total_rewritten += out["stages"]["merge"]["rows"]

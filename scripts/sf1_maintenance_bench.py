@@ -128,6 +128,7 @@ def main():
 
     queries = {k: v["sec"] for k, v in res["stages"].items()}
     for k, v in res["stages"].items():
+        queries[f"{k}_task_wall_s"] = v.get("task_wall_s", 0)
         queries[f"{k}_task_cpu_s"] = v.get("task_cpu_s", 0)
     queries.update(pre_manifests)
 
@@ -178,6 +179,8 @@ def main():
         "validity": {
             "memcpy_gbps_pre": probe_pre,
             "memcpy_gbps_post": _memcpy_probe(),
+            "task_wall_total_s": round(sum(
+                v.get("task_wall_s", 0) for v in res["stages"].values()), 1),
             "task_cpu_total_s": round(sum(
                 v.get("task_cpu_s", 0) for v in res["stages"].values()), 1),
         },
