@@ -4,7 +4,8 @@ over a synthetic transcript table sized by $GRAFT_SF_DIR's scale factor.
 
 Prints ONE JSON line:
   {"metric": "...", "value": <headline sec>, "unit": "sec",
-   "queries": {...per-stage sec...}, "sf": ..., "num_cpus": N,
+   "queries": {...per-stage sec; a failed q_* is {"error": <type>}...},
+   "sf": ..., "num_cpus": N,
    "turns_per_sec": ..., "rewritten_rows": ...}
 
 `bench.py --scaling` re-runs the identical job in FRESH processes at
@@ -170,8 +171,9 @@ def run_bench() -> dict:
             if hasattr(qres, "count") and not hasattr(qres, "num_rows"):
                 qres.count()  # consume lazy datasets
             queries[f"q_{qname}"] = round(time.monotonic() - t, 3)
-        except Exception:
-            queries[f"q_{qname}"] = None
+        except Exception as e:
+            # a broken query reads as broken, not as missing
+            queries[f"q_{qname}"] = {"error": type(e).__name__}
 
     import shutil
 

@@ -151,15 +151,14 @@ def take_positions_preimage(table, pos: pa.Table) -> pa.Table:
     detects)."""
     import os
 
-    import pyarrow.parquet as pq
-
+    from raylake.core.io import read_file
     from raylake.functions.cleaning import apply_renames, normalize_schema
 
     renames = table.meta.get("column_renames") or {}
     parts = []
     pdf = pos.to_pandas()
     for path, g in pdf.groupby("file_path", sort=True):
-        t = pq.read_table(os.path.join(table.root, path))
+        t = read_file(os.path.join(table.root, path))
         t = normalize_schema(apply_renames(t, renames), table.schema)
         parts.append(t.take(pa.array(np.sort(g["pos"].to_numpy()))))
     return pa.concat_tables(parts) if parts else table.schema.empty_table()

@@ -32,6 +32,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from raylake.core import metadata as md
+from raylake.core.io import read_file
 from raylake.core.metadata import ManifestEntry, Snapshot
 from raylake.core.schema import schema_from_json, schema_to_json
 
@@ -550,7 +551,7 @@ class Table:
                 tabs = []
                 for f in cdc:
                     raw = apply_renames(
-                        pq.read_table(os.path.join(self.root, f["path"])),
+                        read_file(os.path.join(self.root, f["path"])),
                         renames)
                     # normalize the data columns to the CURRENT schema
                     # (change files carry their write-time schema), keep
@@ -577,7 +578,7 @@ class Table:
                     if d.get("seq") != seq or d.get("kind") == "pos":
                         continue
                     kt = apply_renames(
-                        pq.read_table(os.path.join(self.root, d["path"])),
+                        read_file(os.path.join(self.root, d["path"])),
                         renames)
                     cols = {}
                     for f in base:
@@ -591,7 +592,7 @@ class Table:
                 for d in snap.delete_files:
                     if d.get("seq") != seq or d.get("kind") != "pos":
                         continue
-                    pos = pq.read_table(os.path.join(self.root, d["path"]))
+                    pos = read_file(os.path.join(self.root, d["path"]))
                     t = take_positions_preimage(self, pos)
                     parts.append(stamp(t.select(names), seq, "delete"))
             elif snap.operation in ("compact", "zorder", "repartition",
@@ -963,7 +964,7 @@ class Table:
                 f"to purge them physically")
         return [
             (d["seq"], d["key_cols"],
-             KeySet(pq.read_table(os.path.join(self.root, d["path"]))))
+             KeySet(read_file(os.path.join(self.root, d["path"]))))
             for d in metas if d.get("kind") != "pos"
         ]
 
@@ -977,7 +978,7 @@ class Table:
         import pandas as pd
 
         frames = [
-            pq.read_table(os.path.join(self.root, d["path"])).to_pandas()
+            read_file(os.path.join(self.root, d["path"])).to_pandas()
             for d in self.delete_files_meta(snapshot)
             if d.get("kind") == "pos"
         ]
@@ -1113,11 +1114,10 @@ class Table:
                 for p, sa in zip(batch["path"].to_pylist(),
                                  batch["seq_added"].to_pylist()):
                     try:
-                        t = pq.read_table(os.path.join(root, p),
-                                          columns=need)
+                        t = read_file(os.path.join(root, p), columns=need)
                     except (pa.ArrowInvalid, KeyError):
                         # pre-evolution file lacking a selected column
-                        t = pq.read_table(os.path.join(root, p))
+                        t = read_file(os.path.join(root, p))
                     if t.schema != need_schema:  # pre-evolution layout
                         t = normalize_schema(apply_renames(t, renames),
                                              need_schema)
@@ -1209,12 +1209,12 @@ class Table:
                     schema = pa.schema([schema.field(c) for c in columns])
                 renames = self.meta.get("column_renames") or {}
                 tabs = [
-                    normalize_schema(apply_renames(pq.read_table(p), renames),
+                    normalize_schema(apply_renames(read_file(p), renames),
                                      schema)
                     for p in paths
                 ]
             else:
-                tabs = [pq.read_table(p, columns=columns) for p in paths]
+                tabs = [read_file(p, columns=columns) for p in paths]
             t = pa.concat_tables(tabs)
         if sort and len(t):
             t = t.sort_by([(c, "ascending") for c in self.sort_order if c in t.column_names])
@@ -1706,7 +1706,16 @@ class Table:
         # extra storage/scan bytes dominate on real disks/networks (tmpfs
         # benches hide the read cost).
         codec = self.meta.get("properties", {}).get("write.compression", "zstd")
-        pq.write_table(table, abspath, compression=codec)
+        # Footer min/max only for the columns something prunes on: the
+        # manifest stats and key bounds below come from the table itself,
+        # and default statistics store the min/max of every long `text`
+        # value in each page header and column chunk (−17% stored bytes on
+        # 32-row files without them).
+        stat_cols = [c for c in dict.fromkeys([*self.stats_columns,
+                                               *self.identifier_fields])
+                     if c in table.column_names]
+        pq.write_table(table, abspath, compression=codec,
+                       write_statistics=stat_cols or False)
         stats = md.column_stats(table, self.stats_columns)
         # Exact composite identifier-key bounds ("__key_lo"/"__key_hi",
         # aligned with identifier_fields — the same pair ops.merge

@@ -35,6 +35,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from raylake.core import metadata as md
+from raylake.core.io import read_file
 from raylake.core.metadata import ManifestEntry
 from raylake.core.table import Table
 
@@ -45,8 +46,9 @@ def _entry_for_file(path: str, table_root: str) -> ManifestEntry:
 
     cap_arrow_threads(1)
     t = Table.load(table_root)
-    f = pq.ParquetFile(path)
-    file_schema = f.schema_arrow
+    with pq.ParquetFile(path) as f:
+        file_schema = f.schema_arrow
+        num_rows = f.metadata.num_rows
     # ORDERED schema equality (metadata-insensitive): scan_arrow concatenates
     # raw file tables, and pa.concat_tables rejects reordered fields — a
     # {name: type} dict compare would adopt a reordered file and leave the
@@ -60,8 +62,8 @@ def _entry_for_file(path: str, table_root: str) -> ManifestEntry:
     read_cols = [c for c in dict.fromkeys([*t.stats_columns, *bloom_cols])
                  if c in file_schema.names]
     stats: dict[str, list] = {}
-    if read_cols and f.metadata.num_rows:
-        sub = pq.read_table(path, columns=read_cols)
+    if read_cols and num_rows:
+        sub = read_file(path, columns=read_cols)
         stats = md.column_stats(sub, t.stats_columns)
         for c in bloom_cols:
             if c in sub.column_names:
@@ -72,7 +74,7 @@ def _entry_for_file(path: str, table_root: str) -> ManifestEntry:
     return ManifestEntry(
         path=path,  # absolute — see module docstring
         partition=-1,
-        rows=f.metadata.num_rows,
+        rows=num_rows,
         bytes=os.path.getsize(path),
         stats=stats,
     )

@@ -24,8 +24,8 @@ from typing import Callable
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 
+from raylake.core.io import read_file
 from raylake.core.table import Table
 from raylake.functions.cleaning import apply_renames, normalize_schema
 
@@ -78,7 +78,7 @@ def scan_with_lineage(table: Table, columns: list[str] | None = None,
         out = []
         for rel, sa in zip(b["path"].to_pylist(),
                            b["seq_added"].to_pylist()):
-            t = pq.read_table(os.path.join(root, rel))
+            t = read_file(os.path.join(root, rel))
             t = normalize_schema(apply_renames(t, renames), schema)
             t = t.append_column(
                 LINEAGE_FILE, pa.array([rel] * len(t), pa.string()))

@@ -32,8 +32,8 @@ from dataclasses import asdict, dataclass, field
 
 import pandas as pd
 import pyarrow as pa
-import pyarrow.parquet as pq
 
+from raylake.core.io import read_file
 from raylake.core.metadata import ManifestEntry
 from raylake.core.table import Table
 from raylake.state.ledger import Ledger
@@ -155,7 +155,7 @@ def read_task_inputs(table: Table, task: dict,
     _, loaded, seqmap, posmap = cache
     tabs = []
     for p in paths:
-        t = pq.read_table(os.path.join(table.root, p))
+        t = read_file(os.path.join(table.root, p))
         pos = posmap.get(p)
         if pos is not None:
             # position deletes bind to THIS file version: apply while

@@ -222,6 +222,9 @@ def test_merge_skew_split_parallelizes_hot_conv(tmp_path, ray_session):
     entries = [t.write_file(data.slice(i * 200, 200), 0) for i in range(20)]
     t.commit("append", entries)
     pre = t.scan_arrow(sort=True)
+    # the premise: the hot conv's files hold well over one task's bytes
+    max_task_bytes = 128 * 1024
+    assert sum(e.bytes for e in entries) > 1.5 * max_task_bytes
 
     late = gen_late_batch(pre, update_frac=0.2, insert_frac=0.0, seed=3)
     from raylake.ops.merge import _plan_merge_tasks, _stage_source
@@ -229,11 +232,12 @@ def test_merge_skew_split_parallelizes_hot_conv(tmp_path, ray_session):
 
     ledger = Ledger(root, "plan-probe")
     stats = _stage_source(t, late, os.path.join(ledger.dir, "staging"))
-    tasks = _plan_merge_tasks(t, stats, max_task_bytes=256 * 1024)
+    tasks = _plan_merge_tasks(t, stats, max_task_bytes=max_task_bytes)
     ledger.clear()
     assert len(tasks) > 1, "hot conv_id was not skew-split into turn ranges"
 
-    snap = merge_into(t, late, max_task_bytes=256 * 1024, concurrency=2)
+    snap = merge_into(t, late, max_task_bytes=max_task_bytes,
+                      concurrency=2)
     assert snap is not None
     assert _golden_equals(t, _merge_oracle(pre, late))
 
