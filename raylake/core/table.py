@@ -874,18 +874,24 @@ class Table:
                 f"{self.schema.names}")
         if len(keys) == 0:
             raise ValueError("empty delete key set")
+        return self.commit(
+            "delete-mor", [],
+            added_deletes=[self.write_delete_file(keys)],
+            expected_parent=self.current_seq,
+            summary={"deleted_keys": len(keys), **(summary or {})},
+        )
+
+    def write_delete_file(self, keys: pa.Table) -> dict:
+        """Write one equality-delete parquet of key tuples (every column of
+        `keys` is a key column) and return its `added_deletes` record. The
+        caller commits it; until then it is an orphan for the GC."""
         os.makedirs(os.path.join(self.root, "data", "deletes"), exist_ok=True)
         rel = f"data/deletes/delete-{uuid.uuid4().hex}.parquet"
         if keys.schema.metadata:
             keys = keys.replace_schema_metadata(None)
         pq.write_table(keys, os.path.join(self.root, rel), compression="zstd")
-        return self.commit(
-            "delete-mor", [],
-            added_deletes=[{"path": rel, "rows": len(keys),
-                            "key_cols": key_cols}],
-            expected_parent=self.current_seq,
-            summary={"deleted_keys": len(keys), **(summary or {})},
-        )
+        return {"path": rel, "rows": len(keys),
+                "key_cols": list(keys.column_names)}
 
     def delete_by_positions(self, pos: pa.Table, summary: dict | None = None):
         """Merge-on-read POSITION delete (Iceberg v2's second delete shape):
@@ -953,7 +959,15 @@ class Table:
     def _load_delete_keys(self, snapshot: int | None = None):
         """[(seq, key_cols, KeySet)] — driver-side, bounded; each delete
         file's key set is prepared once here for every file it filters."""
-        from raylake.core.deletes import MAX_SCAN_DELETE_KEYS, KeySet
+        from raylake.core.deletes import KeySet
+
+        return [(seq, cols, KeySet(keys))
+                for seq, cols, keys in self._load_delete_tables(snapshot)]
+
+    def _load_delete_tables(self, snapshot: int | None = None):
+        """[(seq, key_cols, raw key table)] of the snapshot's equality
+        deletes, bounded by the scan cap (position deletes count too)."""
+        from raylake.core.deletes import MAX_SCAN_DELETE_KEYS
 
         metas = self.delete_files_meta(snapshot)
         total = sum(d["rows"] for d in metas)
@@ -964,7 +978,7 @@ class Table:
                 f"to purge them physically")
         return [
             (d["seq"], d["key_cols"],
-             KeySet(read_file(os.path.join(self.root, d["path"]))))
+             read_file(os.path.join(self.root, d["path"])))
             for d in metas if d.get("kind") != "pos"
         ]
 
@@ -1387,6 +1401,7 @@ class Table:
         removed_delete_paths: set[str] | frozenset[str] = frozenset(),
         branch: str | None = None,
         manifests_override: list[list["md.ManifestEntry"]] | None = None,
+        read_paths: set[str] | frozenset[str] = frozenset(),
     ) -> Snapshot:
         """Atomically commit a new snapshot: live' = live - replaced + added.
 
@@ -1394,6 +1409,13 @@ class Table:
         the table advanced, we rebase iff every replaced path is still live in
         the current snapshot (no intersecting concurrent rewrite); otherwise
         CommitConflictError. Pure appends (replaced empty) always rebase.
+
+        `read_paths`: the data files a merge-on-read MERGE matched its keys
+        against. Its equality delete reaches every older row of those keys,
+        not only the rows it read, so it rebases only where a copy-on-write
+        replace of `read_paths` would, and only if no data file landed since
+        the plan in a partition of `read_paths`: the delete would reach
+        rows the plan never saw.
 
         `meta_updates`: table-metadata keys swapped in the SAME table.json
         write as the snapshot pointer — used by partition-spec evolution so
@@ -1435,12 +1457,13 @@ class Table:
                             f"position-delete targets rewritten since plan "
                             f"(parent {expected_parent}, current {cur}): "
                             f"{gone[:3]}")
-            if expected_parent is not None and cur != expected_parent and replaced:
-                live_now = {e.path for e in self.live_entries(cur)}
-                if not replaced <= live_now:
+            planned = replaced | set(read_paths)
+            if expected_parent is not None and cur != expected_parent and planned:
+                live_now = {e.path: e for e in self.live_entries(cur)}
+                if not planned <= live_now.keys():
                     raise CommitConflictError(
                         f"replaced files no longer live (parent {expected_parent}, "
-                        f"current {cur}): {sorted(replaced - live_now)[:5]}"
+                        f"current {cur}): {sorted(planned - live_now.keys())[:5]}"
                     )
                 # Iceberg validateNoNewDeleteFiles: a merge-on-read delete
                 # committed after this rewrite was planned may not have been
@@ -1456,6 +1479,16 @@ class Table:
                         f"{expected_parent}): "
                         f"{[d['path'] for d in new_dels][:3]}"
                     )
+                parts = {live_now[p].partition for p in read_paths}
+                fresh = [e.path for e in live_now.values()
+                         if e.seq_added > expected_parent
+                         and e.partition in parts]
+                if fresh:
+                    raise CommitConflictError(
+                        f"data files added after plan (parent "
+                        f"{expected_parent}) to partitions "
+                        f"{sorted(parts)[:5]} this commit deletes from: "
+                        f"{fresh[:3]}")
             if (meta_updates and "partition_spec" in meta_updates
                     and expected_parent is not None and cur != expected_parent):
                 # A spec flip may NEVER rebase: files committed concurrently

@@ -17,8 +17,9 @@ Execution plan (no all-to-all shuffle — the shuffle is replaced by
 manifest-pruned co-partitioning):
 
 1. **Stage**: source batches are hash-routed to `bucket = hash(conv_id)%P`
-   staging Parquet files via `map_batches` (stateless, streaming). Per-conv
-   key stats (conv_id, turn min/max) come back as a tiny side stream.
+   staging Parquet files via `map_batches` (stateless, streaming), or in the
+   driver when a `pa.Table` source would make one slice. Per-conv key stats
+   (conv_id, turn min/max) come back as a tiny side stream.
 2. **Prune**: manifest min/max stats select only target files whose
    (conv_id, turn_idx) range can contain a source key — untouched files are
    never read or rewritten.
@@ -30,11 +31,25 @@ manifest-pruned co-partitioning):
    turn ranges) parallelizes across turn-range subtasks while keys can never
    straddle two tasks. Each task owns the half-open key range up to the next
    cluster's lower bound, so inserts (brand-new keys) route deterministically.
-4. **Execute**: actor-pool rewrite tasks (raylake/ops/rewrite.py) read their
+4. **Execute**: task-pool rewrite tasks (raylake/ops/rewrite.py) read their
    file group + their slice of the staged source, combine last-writer-wins in
    Arrow, and skip the rewrite entirely when the result is bit-identical
    (null-safe change detection, MG4). One atomic replace-commit; resumable
    from the per-task ledger with the plan persisted in the job metadata.
+
+   **Merge-on-read**: an upsert or delete whose planned tasks read more
+   than `MOR_MIN_AMPLIFICATION` (64) times the staged source's bytes
+   rewrites nothing. Measured ratios: 1.1-9.9 for every merge on the
+   `ingest` workload and for `maintain`'s late merge, at most 8.0 in the
+   tests, but 649-664 for `maintain`'s small upserts into z-ordered files.
+   The same plan, tasks and ledger then read only the key columns of their
+   files, match them against the source and write one equality-delete
+   file of the matched keys plus the winning source rows; the new rows
+   take the commit's sequence number, so the delete never reaches them.
+   The choice is persisted with the plan (a resumed job keeps it), falls
+   back to copy-on-write near the delete-key scan cap, and the commit
+   re-plans where a concurrent commit could make its delete miss or
+   over-reach rows (`Table.commit`'s `read_paths`).
 """
 
 from __future__ import annotations
@@ -52,6 +67,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from raylake.core import deletes
 from raylake.core.deletes import KeySet
 from raylake.core.hashing import partition_of
 from raylake.core.table import Table
@@ -81,12 +97,18 @@ def table_keys(table: Table) -> tuple[str, str | None]:
 
 
 def _stage_batch(batch: pa.Table, table_root: str, staging_dir: str) -> pa.Table:
-    """Task-pool body: split a source batch by bucket, write staging parquet,
-    emit per-(bucket, key0) key stats as the return rows."""
+    """Task-pool body: `_stage_rows` in a Ray worker, whose Arrow pools are
+    pinned to its one CPU (never done in the driver: the pin is process-
+    wide)."""
     from raylake.ops.rewrite import cap_arrow_threads
 
     cap_arrow_threads(1)
-    t = Table.load(table_root)
+    return _stage_rows(batch, Table.load(table_root), staging_dir)
+
+
+def _stage_rows(batch: pa.Table, t: Table, staging_dir: str) -> pa.Table:
+    """Split a source batch by bucket, write staging parquet, emit
+    per-(bucket, key0) key stats as the return rows."""
     k0, k1 = table_keys(t)
     batch = normalize_schema(batch, t.schema)
     part = partition_of(batch[t.partition_column], t.num_buckets)
@@ -155,6 +177,17 @@ def _stage_source(table: Table, source, staging_dir: str) -> pd.DataFrame:
         # Arrow table otherwise becomes ONE block → ONE staging task)
         n_cpus = max(1, int(ray.cluster_resources().get("CPU", 4)))
         n_slices = min(n_cpus, max(1, len(source) // 8192))
+        if n_slices == 1:
+            # one slice would be one Ray task: stage in the driver, which
+            # already holds the table, one byte-capped batch at a time
+            # (100-row source: 8-20 ms of CPU here against 85-175 ms for
+            # the Ray job)
+            parts = [_stage_rows(source.slice(i, batch_size), table,
+                                 staging_dir)
+                     for i in range(0, len(source), batch_size)]
+            stats = (pa.concat_tables(parts).to_pandas() if parts
+                     else pd.DataFrame())
+            return _merge_key_stats(stats)
         step = max(1, len(source) // n_slices + 1)
         source = ray.data.from_arrow(
             [source.slice(i, step) for i in range(0, len(source), step)]
@@ -166,6 +199,11 @@ def _stage_source(table: Table, source, staging_dir: str) -> pd.DataFrame:
         batch_size=batch_size,
         num_cpus=1,
     ).to_pandas()
+    return _merge_key_stats(stats)
+
+
+def _merge_key_stats(stats: pd.DataFrame) -> pd.DataFrame:
+    """One row per (bucket, key0) across the staged batches."""
     if len(stats) == 0:
         return stats
     return (
@@ -199,6 +237,16 @@ def _file_interval(e, k0: str, k1: str | None) -> tuple[tuple, tuple]:
 
 
 MAX_DRIVER_KEY_STATS = 2_000_000  # rows of (bucket, conv) the driver will hold
+
+# Merge-on-read threshold: an upsert or delete MERGE writes an equality
+# delete plus the source rows, instead of rewriting its target files, when
+# those files hold more than this many times the staged source's bytes
+# (both compressed Parquet). Ratios measured on the perfbench workloads:
+# `ingest` late merge 5.2 and upserts 1.1-1.3; `maintain` late merge 9.9
+# and upserts 649-664 (z-ordered files span every conv_id, so min/max
+# pruning keeps 20 of 24 files for ≈95 turns); the 90 merges of the test
+# suite at most 8.0. 64 splits the two groups.
+MOR_MIN_AMPLIFICATION = 64
 
 
 def _plan_merge_tasks(
@@ -401,19 +449,12 @@ def last_writer_wins(
     return comb.filter(pa.array(last_np)).drop(["__prio", "__ord"])
 
 
-def _merge_task(table: Table, task: dict, params: dict) -> dict:
-    """Targeted update: the source slice is small relative to the target
-    file group, so instead of concat+global-sort+dedup (three full passes of
-    gather over wide `text` rows — memory-bandwidth death at high
-    parallelism) we match source keys exactly against target rows
-    (`KeySet`, one hash probe per key column), drop the matched targets,
-    and append the winning source rows. One filter pass + one write;
-    unchanged rows are never re-ordered. Output files carry manifest stats
-    as usual; scan-order guarantees come from the explicit verification
-    sort, not file order."""
+def _task_source(table: Table, task: dict, params: dict,
+                 keys: list[str]) -> tuple[pa.Table, int]:
+    """The task's key slice of the staged source, reduced to one row per
+    key by source-side last-writer-wins (greater order_col, then later
+    row), and the count of staged rows decoded to find it."""
     k0, k1 = table_keys(table)
-    keys = [k0] + ([k1] if k1 else [])
-    tgt = read_task_inputs(table, task)
     staged = sorted(
         glob.glob(os.path.join(params["staging_dir"], f"b={task['partition']:05d}", "*.parquet"))
     )
@@ -437,11 +478,6 @@ def _merge_task(table: Table, task: dict, params: dict) -> dict:
     )
     staged_rows_read = len(src)
     src = _filter_key_range(src, k0, k1, lo, hi)
-    if len(src) == 0:
-        return {"skipped": True, "entries": [], "replaced": [], "rows": 0,
-                "staged_rows_read": staged_rows_read, "staged_rows_used": 0}
-
-    # source-internal last-writer-wins (greater order_col, then later row)
     if len(src) > 1:
         order_col = params["order_col"]
         src = src.append_column(
@@ -462,9 +498,56 @@ def _merge_task(table: Table, task: dict, params: dict) -> dict:
         )
         if not last_np.all():
             src = src.filter(pa.array(last_np))
+    return src, staged_rows_read
 
+
+def _is_noop(matched_rows: pa.Table, src: pa.Table, keys: list[str]) -> bool:
+    """MG4 null-safe no-op: every source row is bit-identical to the one
+    target row its key matched."""
+    if len(matched_rows) != len(src):
+        return False
+    sort_keys = [(k, "ascending") for k in keys]
+    return (matched_rows.sort_by(sort_keys).combine_chunks()
+            .equals(src.sort_by(sort_keys).combine_chunks()))
+
+
+def _upsert_cdc(table: Table, pre: pa.Table, src: pa.Table,
+                keys: list[str]) -> list:
+    """Change-data-feed capture (Delta CDF shape): the task knows exactly
+    which target rows it replaces and which source rows are fresh —
+    recorded as update pre/post images + inserts."""
+    upd = KeySet(pre.select(keys)).contains(src)
+    return _write_cdc_file(table, [
+        (pre, "update_preimage"),
+        (src.filter(pa.array(upd)), "update_postimage"),
+        (src.filter(pa.array(~upd)), "insert"),
+    ])
+
+
+def _merge_task(table: Table, task: dict, params: dict) -> dict:
+    """Targeted update: the source slice is small relative to the target
+    file group, so instead of concat+global-sort+dedup (three full passes of
+    gather over wide `text` rows — memory-bandwidth death at high
+    parallelism) we match source keys exactly against target rows
+    (`KeySet`, one hash probe per key column), drop the matched targets,
+    and append the winning source rows. One filter pass + one write;
+    unchanged rows are never re-ordered. Output files carry manifest stats
+    as usual; scan-order guarantees come from the explicit verification
+    sort, not file order. A merge-on-read plan runs `_merge_on_read`
+    instead, which writes no target row back."""
+    k0, k1 = table_keys(table)
+    keys = [k0] + ([k1] if k1 else [])
+    src, staged_rows_read = _task_source(table, task, params, keys)
     counters = {"staged_rows_read": staged_rows_read,
                 "staged_rows_used": len(src)}
+    skipped = {"skipped": True, "entries": [], "replaced": [], "rows": 0,
+               **counters}
+    if len(src) == 0:
+        return skipped
+    if params.get("write_mode") == "merge-on-read":
+        return {**_merge_on_read(table, task, params, src, keys), **counters}
+
+    tgt = read_task_inputs(table, task)
     if params["mode"] == "scd2":
         return {**_scd2_task_body(table, task, params, tgt, src, keys),
                 **counters}
@@ -473,36 +556,21 @@ def _merge_task(table: Table, task: dict, params: dict) -> dict:
 
     if params["mode"] == "delete":
         if not matched.any():
-            return {"skipped": True, "entries": [], "replaced": [], "rows": 0,
-                    **counters}
+            return skipped
         result = tgt.filter(pa.array(~matched))
         if params.get("cdc"):
             counters["cdc_files"] = _write_cdc_file(
                 table, [(tgt.filter(pa.array(matched)), "delete")])
     else:
-        # MG4 null-safe no-op detection: if every source row is bit-identical
-        # to its matched target row and there are no inserts, skip entirely.
-        n_matched = int(matched.sum())
-        if n_matched == len(src):
-            midx = np.flatnonzero(matched)
-            sub = tgt.take(pa.array(midx)).combine_chunks()
-            sort_keys = [(k, "ascending") for k in keys]
-            if sub.sort_by(sort_keys).equals(src.sort_by(sort_keys).combine_chunks()):
-                return {"skipped": True, "entries": [], "replaced": [], "rows": 0,
-                        **counters}
+        pre = None
+        if params.get("cdc") or int(matched.sum()) == len(src):
+            pre = tgt.filter(pa.array(matched))
+            if _is_noop(pre, src, keys):
+                return skipped
         keep = tgt.filter(pa.array(~matched)) if matched.any() else tgt
         result = pa.concat_tables([keep, src])
         if params.get("cdc"):
-            # change-data-feed capture (Delta CDF shape): the task knows
-            # exactly which target rows it replaces and which source rows
-            # are fresh — record them as update pre/post images + inserts.
-            pre = tgt.filter(pa.array(matched))
-            upd = KeySet(pre.select(keys)).contains(src)
-            counters["cdc_files"] = _write_cdc_file(table, [
-                (pre, "update_preimage"),
-                (src.filter(pa.array(upd)), "update_postimage"),
-                (src.filter(pa.array(~upd)), "insert"),
-            ])
+            counters["cdc_files"] = _upsert_cdc(table, pre, src, keys)
 
     bpr = (
         task["input_bytes"] / max(1, task["input_rows"])
@@ -514,6 +582,49 @@ def _merge_task(table: Table, task: dict, params: dict) -> dict:
     )
     return {"entries": entries, "replaced": task["input_paths"], "rows": len(result),
             **counters}
+
+
+def _merge_on_read(table: Table, task: dict, params: dict,
+                   src: pa.Table, keys: list[str]) -> dict:
+    """Merge-on-read body (upsert and delete modes): match the source
+    against the key columns of the task's files only, then write one
+    equality-delete file of the matched keys and, for an upsert, the
+    winning source rows as new files. Those files take the commit's
+    sequence number, so the delete never reaches them. Full target rows
+    are read only from files holding a match, and only when the CDC
+    pre-images or the all-matched no-op check need them."""
+    probe = KeySet(src.select(keys))
+    hits, matched_keys = [], []
+    for p in task["input_paths"]:
+        tk = read_task_inputs(table, {**task, "input_paths": [p]},
+                              columns=keys)
+        m = probe.contains(tk)
+        if m.any():
+            hits.append(p)
+            matched_keys.append(tk.filter(pa.array(m)))
+    n_matched = sum(len(t) for t in matched_keys)
+    upsert = params["mode"] == "upsert"
+    if n_matched == 0 and not upsert:
+        return {"skipped": True, "entries": [], "replaced": [], "rows": 0}
+    pre = None
+    if params.get("cdc") or (upsert and n_matched == len(src)):
+        tgt = read_task_inputs(table, {**task, "input_paths": hits})
+        pre = tgt.filter(pa.array(probe.contains(tgt)))
+        if upsert and _is_noop(pre, src, keys):
+            return {"skipped": True, "entries": [], "replaced": [], "rows": 0}
+    out: dict = {"replaced": [], "entries": [], "rows": 0}
+    if n_matched:
+        out["deletes"] = [table.write_delete_file(
+            pa.concat_tables(matched_keys))]
+    if upsert:
+        bpr = max(1.0, src.nbytes / len(src) / 3)
+        out["entries"] = cut_and_write(
+            table, src, task["partition"], params["target_file_bytes"], bpr)
+        out["rows"] = len(src)
+    if params.get("cdc"):
+        out["cdc_files"] = (_upsert_cdc(table, pre, src, keys) if upsert
+                            else _write_cdc_file(table, [(pre, "delete")]))
+    return out
 
 
 def _write_cdc_file(table: Table, parts: list) -> list:
@@ -678,6 +789,28 @@ def _scd2_task_body(
 # ----------------------------------------------------------------- top level
 
 
+def _choose_write_mode(table: Table, mode: str, tasks: list[RewriteTask],
+                       key_stats: pd.DataFrame, staging_dir: str) -> dict:
+    """Copy-on-write or merge-on-read, and the sizes that decided it.
+    scd2 edits target rows in place, so it always rewrites. Merge-on-read
+    also yields to copy-on-write while the live delete rows plus this
+    source could pass half the scan cap: a stream of upserts must never
+    make the table unscannable."""
+    cow_bytes = sum(t.input_bytes for t in tasks)
+    staged_bytes = sum(
+        os.path.getsize(p)
+        for p in glob.glob(os.path.join(staging_dir, "b=*", "*.parquet")))
+    write_mode = "copy-on-write"
+    if (mode in ("upsert", "delete")
+            and cow_bytes > MOR_MIN_AMPLIFICATION * staged_bytes):
+        live = sum(d["rows"] for d in table.delete_files_meta())
+        if (live + int(key_stats["rows"].sum())
+                <= deletes.MAX_SCAN_DELETE_KEYS // 2):
+            write_mode = "merge-on-read"
+    return {"write_mode": write_mode, "cow_bytes": cow_bytes,
+            "staged_bytes": staged_bytes}
+
+
 def merge_into(
     table: Table,
     source,
@@ -759,10 +892,15 @@ def merge_into(
             "parent_seq": table.current_seq,
             "task_ids": [t.task_id for t in tasks],
             "tasks": [json.loads(json.dumps(t.__dict__)) for t in tasks],
+            # persisted: a resumed job takes the path its ledger was
+            # written on, whatever the sizes are by then
+            "summary": _choose_write_mode(table, mode, tasks, key_stats,
+                                          staging_dir),
         }
         ledger.write_meta(meta)
     else:
         tasks = [RewriteTask(**t) for t in meta["tasks"]]
+    write_mode = meta.get("summary", {}).get("write_mode", "copy-on-write")
 
     return run_rewrite_job(
         table,
@@ -779,6 +917,7 @@ def merge_into(
             "scd2_start_col": scd2_start_col,
             "tracked_cols": tracked_cols,
             "cdc": cdc,
+            "write_mode": write_mode,
         },
         concurrency=concurrency,
         max_tasks=max_tasks,

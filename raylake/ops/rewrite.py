@@ -125,60 +125,118 @@ class RewriteTask:
     extra: dict = field(default_factory=dict)
 
 
+class _DeleteState:
+    """The merge-on-read deletes of one snapshot, as one Table instance
+    (one bin) reads them: raw equality key tables, the data files'
+    sequence numbers and the position map, plus one `KeySet` per distinct
+    applicable set of delete files and key-column schema, built on first
+    use. A file under N applicable delete files then costs one probe, not
+    N (10 delete files over a 10k-row file: 9.7 ms as N probes, 2.75 ms as
+    one probe of their union)."""
+
+    def __init__(self, table: Table, snapshot):
+        self.snapshot = snapshot
+        metas = table.delete_files_meta(snapshot)
+        self.loaded = table._load_delete_tables(snapshot) if metas else []
+        self.posmap = table._load_pos_deletes(snapshot) if metas else {}
+        self.seqmap = (
+            {e.path: e.seq_added for e in table.live_entries(snapshot)}
+            if metas else {}
+        )
+        self._probes: dict[tuple, list] = {}
+
+    def applicable(self, path: str) -> tuple:
+        if not self.loaded:
+            return ()
+        return Table._applicable_seq(self.seqmap.get(path, -1), self.loaded)
+
+    def key_cols(self, app: tuple) -> list[str]:
+        return list(dict.fromkeys(c for i in app for c in self.loaded[i][1]))
+
+    def probes(self, app: tuple) -> list:
+        """One KeySet per key-column schema among the delete files `app`.
+        Only tables of an identical schema are concatenated: a union of
+        differently typed keys would compare in a promoted type, which
+        is not always the exact per-file comparison."""
+        if app not in self._probes:
+            from raylake.core.deletes import KeySet
+
+            groups: dict[pa.Schema, list] = {}
+            for i in app:
+                keys = self.loaded[i][2].replace_schema_metadata(None)
+                keys = keys.select(sorted(keys.column_names))
+                groups.setdefault(keys.schema, []).append(keys)
+            self._probes[app] = [KeySet(pa.concat_tables(tabs))
+                                 for tabs in groups.values()]
+        return self._probes[app]
+
+
+def _read_current(table: Table, path: str, schema: pa.Schema,
+                  columns: list[str] | None) -> pa.Table:
+    """One data file as `schema`, the table's current schema or its
+    projection to `columns` (renamed, padded and cast). A file written
+    before a schema change may lack a projected column: it is read whole
+    and normalized, as compaction would migrate it."""
+    full = os.path.join(table.root, path)
+    try:
+        t = read_file(full, columns=columns)
+    except (pa.ArrowInvalid, KeyError):
+        t = read_file(full)
+    if t.schema != schema:
+        from raylake.functions.cleaning import apply_renames, normalize_schema
+
+        renames = table.meta.get("column_renames") or {}
+        t = normalize_schema(apply_renames(t, renames), schema)
+    return t
+
+
 def read_task_inputs(table: Table, task: dict,
-                     snapshot: int | str | None = None) -> pa.Table:
-    """`snapshot` (seq or branch name) pins the DELETE state applied while
-    rewriting — branch-scoped maintenance must apply the branch's deletes,
-    not main's."""
+                     snapshot: int | str | None = None,
+                     columns: list[str] | None = None) -> pa.Table:
+    """The live rows of a task's input files, whole or projected to
+    `columns`. `snapshot` (seq or branch name) pins the DELETE state
+    applied while rewriting — branch-scoped maintenance must apply the
+    branch's deletes, not main's. A projection still applies every
+    position and equality delete: it reads the delete key columns too and
+    drops them after the filter."""
     paths = task["input_paths"]
+    schema = table.schema
     if not paths:
-        return table.schema.empty_table()
+        if columns is not None:
+            schema = pa.schema([schema.field(c) for c in columns])
+        return schema.empty_table()
     # merge-on-read deletes MUST be applied while rewriting: the output file
     # gets a NEW sequence number, so the delete files would stop applying to
     # it — skipping this would resurrect deleted rows (Iceberg's rule).
     # Memoized per Table instance: _rewrite_batch_inner loads one Table per
-    # bin, so the manifest walk + delete-parquet reads (and each delete
-    # file's KeySet build) happen at most once per bin, not once per task or
+    # bin, so the manifest walk + delete-parquet reads (and each union
+    # KeySet build) happen at most once per bin, not once per task or
     # input file, and ONLY while delete files exist (they're transient — the
     # purge op removes them); with no deletes this costs one snapshot read.
-    cache = getattr(table, "_mor_state", None)
-    if cache is None or cache[0] != snapshot:
-        metas = table.delete_files_meta(snapshot)
-        loaded = table._load_delete_keys(snapshot) if metas else []
-        posmap = table._load_pos_deletes(snapshot) if metas else {}
-        seqmap = (
-            {e.path: e.seq_added for e in table.live_entries(snapshot)}
-            if metas else {}
-        )
-        cache = (snapshot, loaded, seqmap, posmap)
-        table._mor_state = cache
-    _, loaded, seqmap, posmap = cache
+    dels = getattr(table, "_mor_state", None)
+    if dels is None or dels.snapshot != snapshot:
+        dels = table._mor_state = _DeleteState(table, snapshot)
     tabs = []
     for p in paths:
-        t = read_file(os.path.join(table.root, p))
-        pos = posmap.get(p)
+        app = dels.applicable(p)
+        need, need_schema = columns, schema
+        if columns is not None:
+            if app:
+                need = list(dict.fromkeys([*columns, *dels.key_cols(app)]))
+            need_schema = pa.schema([schema.field(c) for c in need])
+        t = _read_current(table, p, need_schema, need)
+        pos = dels.posmap.get(p)
         if pos is not None:
             # position deletes bind to THIS file version: apply while
             # rewriting (the commit prunes the entry's replaced targets)
             from raylake.core.deletes import apply_positions
 
             t = apply_positions(t, pos)
-        if loaded:
+        if app:
             from raylake.core.deletes import filter_deleted
 
-            app = table._applicable_seq(seqmap.get(p, -1), loaded)
-            if app:
-                t = filter_deleted(t, [loaded[i][2] for i in app])
+            t = filter_deleted(t, dels.probes(app), columns)
         tabs.append(t)
-    schema = table.schema
-    if any(t.schema != schema for t in tabs):
-        # files written before a schema evolution: rename-migrate + pad/cast
-        # to current — compaction thereby migrates old files physically
-        from raylake.functions.cleaning import apply_renames, normalize_schema
-
-        renames = table.meta.get("column_renames") or {}
-        tabs = [normalize_schema(apply_renames(t, renames), schema)
-                for t in tabs]
     return pa.concat_tables(tabs).combine_chunks()
 
 
@@ -251,7 +309,8 @@ def _rewrite_batch_inner(batch, table_root, job_id, task_fn, params):
                 "wall_s": wall,
                 "cpu_s": time.process_time() - c0,
             }
-            for k in ("staged_rows_read", "staged_rows_used", "cdc_files"):
+            for k in ("staged_rows_read", "staged_rows_used", "cdc_files",
+                      "deletes"):
                 if k in res:
                     rec[k] = res[k]
             ledger.record(task["task_id"], rec)
@@ -367,13 +426,19 @@ def commit_from_ledger(table: Table, operation: str, meta: dict,
                        done: dict, ledger: Ledger):
     """Assemble the single atomic commit from the completed-task ledger.
     Raises CommitConflictError when a concurrent commit invalidated the
-    plan's replaced files — callers retry via ops.maintain.run_with_retry."""
+    plan's replaced files — callers retry via ops.maintain.run_with_retry.
+
+    Tasks of a merge-on-read MERGE replace nothing: they ledger equality
+    delete files (`deletes`) next to their new data files, and the commit
+    validates the files they read (`Table.commit`'s `read_paths`)."""
     job_id = ledger.job_id
     added = [
         ManifestEntry.from_json(e) for rec in done.values() for e in rec["entries"]
     ]
     replaced = {p for rec in done.values() for p in rec["replaced"]}
-    if (not added and not replaced and not meta.get("meta_updates")
+    added_deletes = [d for rec in done.values() for d in rec.get("deletes", [])]
+    if (not added and not replaced and not added_deletes
+            and not meta.get("meta_updates")
             and not meta.get("removed_delete_paths")):
         ledger.clear()
         return None  # every task was a no-op: nothing to commit
@@ -387,7 +452,14 @@ def commit_from_ledger(table: Table, operation: str, meta: dict,
         "task_wall_s": round(sum(r["wall_s"] for r in done.values()), 3),
         "task_cpu_s": round(
             sum(r.get("cpu_s", 0.0) for r in done.values()), 3),
+        **meta.get("summary", {}),
     }
+    read_paths = frozenset()
+    if "write_mode" in summary:  # a MERGE: the plan's choice and its cost
+        summary["delete_rows"] = sum(d["rows"] for d in added_deletes)
+    if summary.get("write_mode") == "merge-on-read":
+        read_paths = frozenset(
+            p for rec in done.values() for p in rec["input_files"])
     if any("staged_rows_read" in r for r in done.values()):
         # merge read-amplification: Σ staged rows decoded across tasks vs the
         # rows each task actually owned — ≈1.0 means no hot-bucket re-read
@@ -412,6 +484,8 @@ def commit_from_ledger(table: Table, operation: str, meta: dict,
         meta_updates=meta.get("meta_updates"),
         removed_delete_paths=frozenset(meta.get("removed_delete_paths", [])),
         branch=meta.get("branch"),
+        added_deletes=added_deletes,
+        read_paths=read_paths,
     )
     ledger.clear()
     return snap
