@@ -4,21 +4,35 @@ and position (`Table.delete_by_positions`) — the Iceberg
 
 Plan (metadata + delete keys, driver-side, bounded by the scan cap): a data
 file is AFFECTED iff at least one delete file applies to it by the sequence
-rule AND its key-column min/max stats cannot exclude every applicable delete
-key (no stats → conservatively affected); position-targeted files are
-always affected (positions name rows directly). Execute: rewrite tasks read their
-files through `read_task_inputs` (which applies the deletes) and write the
-filtered rows back; a task whose file contained no matching key skips its
-rewrite. Commit: replaced files + ALL current delete files removed, in one
-atomic snapshot — unplanned files provably contained no applicable key, so
-dropping the delete files cannot resurrect or lose rows. Files appended
-concurrently carry a later sequence and were never subject to the deletes.
+rule AND that delete file's keys may lie inside the data file;
+position-targeted files are always affected (positions name rows
+directly). "May lie inside" is judged on the tightest bounds that can
+judge it exactly:
+- a delete file keyed on the two identifier fields (either column order)
+  is bisected against the data file's exact composite bounds
+  `[__key_lo, __key_hi]` (`Table.write_file`), so one deleted turn plans
+  the file holding that turn, not every file of its conversation;
+- otherwise (other key columns, a null or NaN key, a key type the stats do
+  not hold exactly, a file without key bounds, an incomparable value) its
+  first key column is tested against the file's min/max stats, and a null
+  key or a file without stats cannot be excluded.
+Execute: rewrite tasks read their files through `read_task_inputs` (which
+applies the deletes) and write the filtered rows back; a task whose file
+contained no matching key skips its rewrite. Commit: replaced files + ALL
+current delete files removed, in one atomic snapshot — unplanned files
+provably contained no applicable key, so dropping the delete files cannot
+resurrect or lose rows. Files appended concurrently carry a later sequence
+and were never subject to the deletes. The snapshot summary records the
+planned `input_files` and the `excluded_files` the bounds ruled out.
 """
 
 from __future__ import annotations
 
 import bisect
 from collections import defaultdict
+
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from raylake.core.table import Table
 from raylake.ops.rewrite import (
@@ -30,22 +44,90 @@ from raylake.ops.rewrite import (
 )
 
 
-def plan_apply_deletes(table: Table, max_task_bytes: int) -> tuple[list[RewriteTask], list[str]]:
-    loaded = table._load_delete_keys()
+def _composite_keys(keys: pa.Table, key_cols: list[str],
+                    table: Table) -> list[tuple] | None:
+    """The delete file's key tuples, sorted, in the order and the value
+    representation of the data files' `__key_lo`/`__key_hi` bounds
+    (`md._stat_value`: timestamps as integers of their unit, dates as
+    days); None when those bounds cannot judge them exactly: the keys are
+    not the two identifier fields, a key is null or NaN, or a key column
+    compares to the table's column in another kind of value than the stats
+    hold (the scan would then match in a promoted type)."""
+    idf = table.identifier_fields[:2]
+    if len(idf) < 2 or sorted(key_cols) != sorted(idf):
+        return None
+    cols = []
+    for c in idf:
+        col, ft = keys[c], table.schema.field(c).type
+        kt = col.type
+        if not (kt == ft
+                or (pa.types.is_integer(kt) and pa.types.is_integer(ft))
+                or (pa.types.is_string(kt) or pa.types.is_large_string(kt))
+                and (pa.types.is_string(ft) or pa.types.is_large_string(ft))):
+            return None
+        if col.null_count or (pa.types.is_floating(kt)
+                              and pc.any(pc.is_nan(col)).as_py()):
+            return None
+        if pa.types.is_timestamp(kt):
+            col = col.cast(pa.int64())
+        elif pa.types.is_date(kt):
+            try:
+                col = col.cast(pa.int32())
+            except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
+                return None
+        cols.append(col.to_pylist())
+    return sorted(set(zip(*cols)))
+
+
+def _valid_bound(b) -> bool:
+    return (bool(b) and len(b) == 2
+            and all(v is not None and v == v for v in b))  # v != v: NaN
+
+
+def plan_apply_deletes(
+    table: Table, max_task_bytes: int,
+) -> tuple[list[RewriteTask], list[str], int]:
+    """(tasks, delete file paths, excluded files): the rewrite tasks of the
+    purge, the delete files it removes, and how many live files under an
+    applicable delete file the key bounds ruled out."""
+    loaded = table._load_delete_tables()
     posmap = table._load_pos_deletes()
     delete_paths = [d["path"] for d in table.delete_files_meta()]
     if not loaded and not posmap:
-        return [], delete_paths
+        return [], delete_paths, 0
 
-    # sorted first-key values per delete file, for stats-range exclusion;
-    # null keys can't be excluded by min/max stats → (has_null, sorted)
-    sorted_keys = []
+    # per delete file: its exact key tuples for the composite bounds (None
+    # when they cannot judge it), and its sorted first-key values for the
+    # first-key min/max fallback — null keys can't be excluded by min/max
+    # stats → (has_null, sorted)
+    composite, first_keys = [], []
     for _, key_cols, keys in loaded:
-        vals = keys.sets[key_cols[0]].to_pylist()
+        composite.append(_composite_keys(keys, key_cols, table))
+        vals = pc.unique(keys[key_cols[0]]).to_pylist()
         nonnull = [v for v in vals if v is not None]
-        sorted_keys.append((len(nonnull) < len(vals), sorted(nonnull)))
+        first_keys.append((len(nonnull) < len(vals), sorted(nonnull)))
+
+    def may_hold(e, i) -> bool:
+        tuples = composite[i]
+        lo, hi = e.stats.get("__key_lo"), e.stats.get("__key_hi")
+        if tuples is not None and _valid_bound(lo) and _valid_bound(hi):
+            try:
+                j = bisect.bisect_left(tuples, tuple(lo))
+                return j < len(tuples) and tuples[j] <= tuple(hi)
+            except TypeError:
+                pass
+        s = e.stats.get(loaded[i][1][0])
+        has_null, ks = first_keys[i]
+        if has_null or not s or s[0] is None:
+            return True  # null keys / no stats → cannot exclude
+        try:
+            j = bisect.bisect_left(ks, s[0])
+            return j < len(ks) and ks[j] <= s[1]
+        except TypeError:
+            return True
 
     affected_by_part = defaultdict(list)
+    excluded = 0
     for e in table.live_entries():
         if e.path in posmap:  # position-targeted files always rewrite
             affected_by_part[e.partition].append(e)
@@ -53,20 +135,10 @@ def plan_apply_deletes(table: Table, max_task_bytes: int) -> tuple[list[RewriteT
         app = table._applicable(e, loaded)
         if not app:
             continue
-        hit = False
-        for i in app:
-            k0 = loaded[i][1][0]
-            s = e.stats.get(k0)
-            has_null, ks = sorted_keys[i]
-            if has_null or not s or s[0] is None:
-                hit = True  # null keys / no stats → cannot exclude
-                break
-            j = bisect.bisect_left(ks, s[0])
-            if j < len(ks) and ks[j] <= s[1]:
-                hit = True
-                break
-        if hit:
+        if any(may_hold(e, i) for i in app):
             affected_by_part[e.partition].append(e)
+        else:
+            excluded += 1
 
     tasks: list[RewriteTask] = []
     for p, files in sorted(affected_by_part.items()):
@@ -90,7 +162,7 @@ def plan_apply_deletes(table: Table, max_task_bytes: int) -> tuple[list[RewriteT
             group.append(e)
             gbytes += e.bytes
         flush()
-    return tasks, delete_paths
+    return tasks, delete_paths, excluded
 
 
 def _apply_deletes_task(table: Table, task: dict, params: dict) -> dict:
@@ -119,9 +191,9 @@ def apply_deletes(
     from raylake.state.ledger import Ledger
 
     if job_id is not None and Ledger(table.root, job_id).read_meta() is not None:
-        tasks, delete_paths = [], None  # resume from the persisted plan
+        tasks, delete_paths, excluded = [], None, 0  # resume: persisted plan
     else:
-        tasks, delete_paths = plan_apply_deletes(
+        tasks, delete_paths, excluded = plan_apply_deletes(
             table, max_task_bytes or target_file_bytes * 4)
         if not delete_paths:
             return None
@@ -135,4 +207,6 @@ def apply_deletes(
         concurrency=concurrency,
         max_tasks=max_tasks,
         removed_delete_paths=delete_paths,
+        summary={"input_files": sum(len(t.input_paths) for t in tasks),
+                 "excluded_files": excluded},
     )

@@ -30,9 +30,11 @@ import time
 import uuid
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from raylake.core.hashing import hash32_rows
 from raylake.core.io import read_file
 from raylake.core.metadata import ManifestEntry
 from raylake.core.table import Table
@@ -246,15 +248,43 @@ def cut_and_write(
     partition: int,
     target_bytes: int,
     bytes_per_row: float,
+    key_hashes: dict[str, tuple[str, np.ndarray]] | None = None,
 ) -> list[ManifestEntry]:
-    """Bin-pack a (pre-sorted) Arrow table into ~target_bytes Parquet files."""
+    """Bin-pack a (pre-sorted) Arrow table into ~target_bytes Parquet files.
+
+    Each output file records hash-space key bounds, `<name> = [min, max]`
+    over its non-null keys, for every `key_hashes` entry `name: (column,
+    per-row hash32)` and for the lookup key column (`partition_column` or
+    conv_id, `<col>_h32`) when it is a string column the caller did not
+    pass. An order-preserving rewrite of z-ordered rows (merge, compact,
+    purge) then keeps the bounds `prune_point` prunes on; string min/max
+    stats cannot, as hashing spreads each key over the whole string range.
+    Hashing happens once per call, never per `Table.write_file`, which
+    small-file appends call hundreds of times."""
     if len(data) == 0:
         return []
+    dims = dict(key_hashes or {})
+    key_col = table.partition_column or "conv_id"
+    if (key_col in data.column_names
+            and key_col not in {c for c, _ in dims.values()}):
+        typ = data.schema.field(key_col).type
+        if pa.types.is_string(typ) or pa.types.is_large_string(typ):
+            dims[f"{key_col}_h32"] = (key_col, hash32_rows(data[key_col]))
+    valid = {c: (data[c].is_valid().to_numpy(zero_copy_only=False)
+                 if data[c].null_count else None)
+             for c, _ in dims.values()}
     rows_per_file = max(1, int(target_bytes / max(1.0, bytes_per_row)))
-    return [
-        table.write_file(data.slice(off, rows_per_file), partition)
-        for off in range(0, len(data), rows_per_file)
-    ]
+    entries = []
+    for off in range(0, len(data), rows_per_file):
+        e = table.write_file(data.slice(off, rows_per_file), partition)
+        for name, (col, keys) in dims.items():
+            hs = keys[off:off + rows_per_file]
+            if valid[col] is not None:
+                hs = hs[valid[col][off:off + rows_per_file]]
+            if len(hs):
+                e.stats[name] = [int(hs.min()), int(hs.max())]
+        entries.append(e)
+    return entries
 
 
 def pack_tasks(tasks: list[RewriteTask], n_bins: int) -> list[list[RewriteTask]]:
@@ -331,6 +361,7 @@ def run_rewrite_job(
     meta_updates: dict | None = None,
     removed_delete_paths: list[str] | None = None,
     branch: str | None = None,
+    summary: dict | None = None,
 ):
     """Execute tasks as one Ray task per bin; commit once ALL are ledgered.
 
@@ -342,6 +373,8 @@ def run_rewrite_job(
     resume — or if every task was a no-op skip. With `branch`, the job is
     scoped to that ref: planned against its head and committed to it (WAP
     maintenance — main readers never see the rewrite until fast_forward).
+    `summary` holds plan facts for the snapshot summary; it is persisted
+    with the plan, so a resumed job commits the same ones.
     """
     import ray
     import ray.data
@@ -364,6 +397,8 @@ def run_rewrite_job(
             meta["meta_updates"] = meta_updates
         if removed_delete_paths:
             meta["removed_delete_paths"] = list(removed_delete_paths)
+        if summary:
+            meta["summary"] = summary
         ledger.write_meta(meta)
     elif "tasks" in meta:
         # RESUME: the persisted plan is authoritative. Re-planning from the

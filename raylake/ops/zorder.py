@@ -5,10 +5,15 @@ with a sort strategy) but never are; the north star requires it. We cluster
 WITHIN each hash partition (like Iceberg's per-partition rewrite): every
 file of a partition is read, rows are ordered by the Morton-interleaved key
 `z = interleave(hash32(conv_id), ts_seconds)` (raylake/core/hashing.py), and
-the stream is cut into ~target-size files. Because z-order groups rows of
-the same conv_id (and adjacent time ranges) together, each output file gets
-tight `conv_id`/`ts` min/max bounds in the manifest — that is what makes
-point lookups and time-range scans prune files (proved in tests).
+the stream is cut into ~target-size files by `ops.rewrite.cut_and_write`.
+Because z-order groups rows of the same conv_id (and adjacent time ranges)
+together, each output file gets a tight `ts` min/max and a tight span of
+conv_id hashes. `cut_and_write` records that span as the file's hash-space
+bounds (`conv_h32`, or `<col>_h32` under `cluster_by`) from the hashes the
+curve already computed; point lookups prune on them (`Table.prune_point`),
+time-range scans on the `ts` stats (proved in tests). Later merges,
+compactions and purges write through the same function, which records the
+same kind of bounds on their outputs, so lookups keep pruning after them.
 
 Per-partition processing means NO global shuffle: at 10^12-turn scale each
 partition (1–4 GB by partition-spec sizing) is one actor task; Ray schedules
@@ -140,12 +145,12 @@ def _zorder_task(table: Table, task: dict, params: dict) -> dict:
         (c0, c1) = cluster_by
         k0, h0 = _dim_u32(data, c0)
         k1, h1 = _dim_u32(data, c1)
-        hash_dims = [(f"{c}_h32", k) for c, k, h in
-                     ((c0, k0, h0), (c1, k1, h1)) if h]
+        hash_dims = {f"{c}_h32": (c, k) for c, k, h in
+                     ((c0, k0, h0), (c1, k1, h1)) if h}
     else:  # default transcript keys (bit-identical to the original path)
         k0 = (stable_hash64(data["conv_id"]) >> np.uint64(32)).astype(np.uint64)
         k1 = (data["ts"].cast(pa.int64()).to_numpy() // 1_000_000).astype(np.uint64)
-        hash_dims = [("conv_h32", k0)]
+        hash_dims = {"conv_h32": ("conv_id", k0)}
     if params.get("curve") == "hilbert":
         from raylake.core.hashing import hilbert_key
 
@@ -154,20 +159,14 @@ def _zorder_task(table: Table, task: dict, params: dict) -> dict:
         z = morton_interleave(k0, k1 & np.uint64(0xFFFFFFFF))
     order = np.argsort(z, kind="stable")
     data = data.take(pa.array(order))
-    hash_dims = [(name, keys[order]) for name, keys in hash_dims]
+    # a contiguous Morton range has a tight hash32 span: cut_and_write
+    # records it per file from the keys already hashed for the curve
+    hash_dims = {name: (c, keys[order])
+                 for name, (c, keys) in hash_dims.items()}
     bpr = task["input_bytes"] / max(1, task["input_rows"])
-    rows_per_file = max(1, int(params["target_file_bytes"] / max(1.0, bpr)))
-    entries = []
-    for off in range(0, len(data), rows_per_file):
-        piece = data.slice(off, rows_per_file)
-        e = table.write_file(piece, task["partition"])
-        # hash-space bounds: a contiguous Morton range has a tight hash32
-        # span, which is what a key point lookup prunes on (string-space
-        # min/max stats are useless after hashing — see prune_point).
-        for name, keys in hash_dims:
-            hs = keys[off : off + rows_per_file]
-            e.stats[name] = [int(hs.min()), int(hs.max())]
-        entries.append(e)
+    entries = cut_and_write(table, data, task["partition"],
+                            params["target_file_bytes"], bpr,
+                            key_hashes=hash_dims)
     return {"entries": entries, "replaced": task["input_paths"], "rows": len(data)}
 
 

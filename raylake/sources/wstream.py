@@ -80,7 +80,7 @@ def read_late(table: Table, base: str) -> pa.Table | None:
     import base64
     import os
 
-    import pyarrow.parquet as pq
+    from raylake.core.io import read_file
 
     parts = []
     for snap in table.refresh().snapshots():
@@ -89,7 +89,7 @@ def read_late(table: Table, base: str) -> pa.Table | None:
             parts.append(pa.ipc.open_stream(base64.b64decode(b)).read_all())
         p = snap.summary.get(f"{base}_path")
         if p:
-            parts.append(pq.read_table(os.path.join(table.root, p)))
+            parts.append(read_file(os.path.join(table.root, p)))
     return pa.concat_tables(parts) if parts else None
 
 
