@@ -4,9 +4,11 @@ exact key-membership kernel it shares with MERGE.
 A delete file is a parquet of key tuples committed at sequence `seq`; it
 deletes rows from data files whose `seq_added < seq` (rows written BEFORE
 the delete — a later re-insert of the same key survives, exactly Iceberg's
-sequence-number rule). Scans apply the filter per batch; rewrite ops apply
-it physically while rewriting, so output files (new seq) never resurrect
-deleted rows; `ops/deletes.apply_deletes` purges delete files entirely.
+sequence-number rule). Every read of a data file applies them with the
+file's position deletes (`Table.live_reader`, through one `DeleteState` per
+snapshot): scans filter what they return, and rewrite ops drop the rows
+physically, so output files (new seq) never resurrect deleted rows;
+`ops/deletes.apply_deletes` purges delete files entirely.
 
 Membership kernel (`KeySet`): a build-once, probe-whole-columns hash probe.
 Building from a key table takes, per key column, its distinct values
@@ -34,9 +36,14 @@ Semantics are exact value equality, per column:
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from raylake.core.io import read_file
 
 # Driver/broadcast bound for merge-on-read keys: beyond this, reading every
 # scan pays too much — run ops.deletes.apply_deletes to purge physically.
@@ -135,11 +142,91 @@ def delete_keep_mask(batch: pa.Table, deletes: list[KeySet]) -> np.ndarray:
     return keep
 
 
-def filter_deleted(batch: pa.Table, deletes: list[KeySet],
-                   project: list[str] | None = None) -> pa.Table:
-    mask = delete_keep_mask(batch, deletes)
-    out = batch if mask.all() else batch.filter(pa.array(mask))
-    return out.select(project) if project is not None else out
+class DeleteState:
+    """The merge-on-read deletes of one snapshot `seq`, as one `Table`
+    instance reads them (`Table.delete_state` memoizes it per resolved
+    seq): the raw equality key tables `[(seq, key_cols, keys)]`, the
+    position map `{data-file path: sorted int64 positions}`, and one
+    `KeySet` per distinct applicable set of delete files and key-column
+    schema, built on first use. A file under N applicable delete files
+    then costs one probe, not N (10 delete files over a 10k-row file:
+    9.7 ms as N probes, 2.75 ms as one probe of their union). Picklable,
+    so scan tasks receive it with their `Table`."""
+
+    def __init__(self, table, seq: int):
+        self.seq = seq
+        metas = table.delete_files_meta(seq)
+        total = sum(d["rows"] for d in metas)
+        if total > MAX_SCAN_DELETE_KEYS:
+            raise RuntimeError(
+                f"{total} merge-on-read delete keys exceed the scan bound "
+                f"({MAX_SCAN_DELETE_KEYS}); run ops.deletes.apply_deletes "
+                f"to purge them physically")
+        self.loaded = [
+            (d["seq"], d["key_cols"],
+             read_file(os.path.join(table.root, d["path"])))
+            for d in metas if d.get("kind") != "pos"
+        ]
+        frames = [read_file(os.path.join(table.root, d["path"])).to_pandas()
+                  for d in metas if d.get("kind") == "pos"]
+        self.posmap: dict[str, np.ndarray] = {}
+        if frames:
+            df = pd.concat(frames, ignore_index=True)
+            self.posmap = {p: np.unique(g.to_numpy().astype(np.int64))
+                           for p, g in df.groupby("file_path")["pos"]}
+        self._seqs: dict[str, int] | None = None
+        self._probes: dict[tuple, list[KeySet]] = {}
+
+    def __bool__(self) -> bool:
+        return bool(self.loaded or self.posmap)
+
+    def applicable(self, seq_added: int) -> tuple:
+        """Indices of the delete files that apply to a data file added at
+        `seq_added`: committed AFTER its rows (seq_added < delete seq;
+        legacy seq_added=-1 counts as oldest)."""
+        return tuple(i for i, (seq, _, _) in enumerate(self.loaded)
+                     if seq_added < seq)
+
+    def seq_added(self, table, path: str) -> int:
+        """A live data file's `seq_added`, from one manifest walk of the
+        snapshot on first use (callers that hold entries pass theirs)."""
+        if self._seqs is None:
+            self._seqs = {e.path: e.seq_added
+                          for e in table.live_entries(self.seq)}
+        return self._seqs.get(path, -1)
+
+    def key_cols(self, app: tuple) -> list[str]:
+        return list(dict.fromkeys(c for i in app for c in self.loaded[i][1]))
+
+    def probes(self, app: tuple) -> list[KeySet]:
+        """One KeySet per key-column schema among the delete files `app`.
+        Only tables of an identical schema are concatenated: a union of
+        differently typed keys would compare in a promoted type, which
+        is not always the exact per-file comparison."""
+        if app not in self._probes:
+            groups: dict[pa.Schema, list] = {}
+            for i in app:
+                keys = self.loaded[i][2].replace_schema_metadata(None)
+                keys = keys.select(sorted(keys.column_names))
+                groups.setdefault(keys.schema, []).append(keys)
+            self._probes[app] = [KeySet(pa.concat_tables(tabs))
+                                 for tabs in groups.values()]
+        return self._probes[app]
+
+    def keep_mask(self, t: pa.Table, path: str,
+                  app: tuple) -> np.ndarray | None:
+        """Keep-mask of a data file's rows `t` (read in the file's own row
+        order: positions index it) under its position deletes and the
+        applicable equality deletes `app`; None when nothing applies."""
+        pos = self.posmap.get(path)
+        if pos is None and not app:
+            return None
+        keep = np.ones(len(t), bool)
+        if pos is not None:
+            keep[pos] = False
+        if app:
+            keep &= delete_keep_mask(t, self.probes(app))
+        return keep
 
 
 def take_positions_preimage(table, pos: pa.Table) -> pa.Table:
@@ -149,27 +236,10 @@ def take_positions_preimage(table, pos: pa.Table) -> pa.Table:
     path IS the versioned read; the files stay reachable through their
     snapshot's manifests until expiry (which the caller's gap guard
     detects)."""
-    import os
-
-    from raylake.core.io import read_file
-    from raylake.functions.cleaning import apply_renames, normalize_schema
-
-    renames = table.meta.get("column_renames") or {}
+    read = table.live_reader(apply_deletes=False)
     parts = []
     pdf = pos.to_pandas()
     for path, g in pdf.groupby("file_path", sort=True):
-        t = read_file(os.path.join(table.root, path))
-        t = normalize_schema(apply_renames(t, renames), table.schema)
+        t = read(path)
         parts.append(t.take(pa.array(np.sort(g["pos"].to_numpy()))))
     return pa.concat_tables(parts) if parts else table.schema.empty_table()
-
-
-def apply_positions(t: pa.Table, pos) -> pa.Table:
-    """Drop the rows at ordinals `pos` (sorted int64 array) from a FULL
-    file table. Positions index the file's own row order, so this must run
-    before any row-dropping (equality) filter — the shared kernel for the
-    three position-delete read sites (driver scan, distributed scan task,
-    rewrite task)."""
-    mask = np.ones(len(t), bool)
-    mask[pos] = False
-    return t.filter(pa.array(mask))

@@ -1,8 +1,9 @@
 """The one per-file Parquet reader of `core/` and `ops/`.
 
-Every read of ONE data, delete or change file goes through `read_file`:
-the driver-side scans (`Table.scan_arrow`, `changes`, delete-key loads) and
-the inputs of every rewrite, purge and position-delete task.
+Every read of ONE data, delete or change file goes through `read_file`.
+Data files are read through `read_current` under `Table.live_reader`,
+the one reader of a file's live rows behind every scan and rewrite;
+delete and change files are read directly.
 
 `pyarrow.parquet.read_table(path)` builds a whole `pyarrow.dataset` per
 file — filesystem resolution, discovery, a scanner and a thread-pool
@@ -26,15 +27,25 @@ is not a setting.
 
 `read_file` keeps `read_table`'s contract where `ParquetFile.read`
 departs from it: a requested column the file lacks raises `ArrowInvalid`
-(`ParquetFile.read` silently drops it, which would narrow a scan and
-defeat the pre-evolution fallbacks that catch the error), and a repeated
-column comes back repeated.
+(`ParquetFile.read` silently drops it, which would narrow a scan), and a
+repeated column comes back repeated.
+
+`read_current` reads one data file as the table's current schema (or a
+projection of it). It decides from the file's own schema, not from the
+table's history: a file that holds every wanted column under its current
+name and type is read as it is, a projection decoding only those
+columns; any other file (written before an `add_column`, a rename or a
+type change, whichever sequence number it was committed at) is read
+whole, its historical names mapped through the rename map and the rest
+padded or cast by `normalize_schema`.
 
 Multi-file, row-filtered reads (`ops.merge`'s staging files) stay on the
 dataset API: pruning row groups across files is what it is for.
 """
 
 from __future__ import annotations
+
+from typing import Mapping
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -55,3 +66,38 @@ def read_file(path: str, columns: list[str] | None = None) -> pa.Table:
     if columns is not None and t.column_names != list(columns):
         t = t.select(columns)
     return t
+
+
+def _renamed_away(names: list[str], have: list[str],
+                  renames: Mapping[str, str]) -> bool:
+    """Whether `apply_renames` would move one of `names` away: a column
+    renamed after the file was written, whose old name was re-added."""
+    return any(c in renames and renames[c] not in have for c in names)
+
+
+def read_current(path: str, schema: pa.Schema, renames: Mapping[str, str],
+                 whole: bool) -> pa.Table:
+    """One data file's rows as `schema`: the table's current schema
+    (`whole`) or a projection of it; `renames` is the historical-name map
+    (see the module docstring). A whole read decides on the decoded
+    file's own schema, which costs nothing more; a projection decides on
+    the footer before it decodes anything."""
+    threads = pa.cpu_count() > 1
+    with pq.ParquetFile(path) as f:
+        if whole:
+            t = f.read(use_threads=threads)
+            if t.schema.equals(schema) and not (renames and _renamed_away(
+                    t.column_names, t.column_names, renames)):
+                return t
+        else:
+            footer, names = f.schema_arrow, schema.names
+            idx = [footer.get_field_index(c) for c in names]
+            if (all(i >= 0 and footer.field(i).equals(fld)
+                    for i, fld in zip(idx, schema))
+                    and not _renamed_away(names, footer.names, renames)):
+                t = f.read(columns=names, use_threads=threads)
+                return t if t.column_names == names else t.select(names)
+            t = f.read(use_threads=threads)
+    from raylake.functions.cleaning import apply_renames, normalize_schema
+
+    return normalize_schema(apply_renames(t, renames), schema)

@@ -32,10 +32,15 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from raylake.core import metadata as md
-from raylake.core.io import read_file
+from raylake.core.io import read_current, read_file
 from raylake.core.metadata import ManifestEntry, Snapshot
 from raylake.core.schema import schema_from_json, schema_to_json
 
+
+# lineage columns of `Table.live_reader(lineage=True)` (Iceberg's metadata
+# columns): the manifest path of a row's file and its ordinal in the file
+LINEAGE_FILE = "_file"
+LINEAGE_POS = "_pos"
 
 _TIME_US_PER = {"day": 86_400_000_000, "hour": 3_600_000_000}
 
@@ -142,6 +147,7 @@ class Table:
         self.meta = meta
         # {opened, total} of the most recent manifest-filtered plan read
         self.last_manifest_prune: dict | None = None
+        self._deletes = None  # memoized delete_state()
 
     # ------------------------------------------------------------- lifecycle
 
@@ -213,10 +219,7 @@ class Table:
 
     def refresh(self) -> "Table":
         self.meta = md.read_json(os.path.join(self.root, "metadata", "table.json"))
-        # drop memoized merge-on-read state (rewrite.read_task_inputs):
-        # stale cached "no deletes" across a refresh would resurrect rows
-        if hasattr(self, "_mor_state"):
-            del self._mor_state
+        self._deletes = None
         return self
 
     # ------------------------------------------------------------ properties
@@ -956,64 +959,70 @@ class Table:
                         out.setdefault(c, d["path"])
         return out
 
-    def _load_delete_keys(self, snapshot: int | None = None):
-        """[(seq, key_cols, KeySet)] — driver-side, bounded; each delete
-        file's key set is prepared once here for every file it filters."""
-        from raylake.core.deletes import KeySet
+    def delete_state(self, snapshot: int | str | None = None):
+        """The merge-on-read deletes of a snapshot
+        (`core.deletes.DeleteState`), loaded once per Table instance and
+        resolved seq; `refresh` drops it."""
+        from raylake.core.deletes import DeleteState
 
-        return [(seq, cols, KeySet(keys))
-                for seq, cols, keys in self._load_delete_tables(snapshot)]
-
-    def _load_delete_tables(self, snapshot: int | None = None):
-        """[(seq, key_cols, raw key table)] of the snapshot's equality
-        deletes, bounded by the scan cap (position deletes count too)."""
-        from raylake.core.deletes import MAX_SCAN_DELETE_KEYS
-
-        metas = self.delete_files_meta(snapshot)
-        total = sum(d["rows"] for d in metas)
-        if total > MAX_SCAN_DELETE_KEYS:
-            raise RuntimeError(
-                f"{total} merge-on-read delete keys exceed the scan bound "
-                f"({MAX_SCAN_DELETE_KEYS}); run ops.deletes.apply_deletes "
-                f"to purge them physically")
-        return [
-            (d["seq"], d["key_cols"],
-             read_file(os.path.join(self.root, d["path"])))
-            for d in metas if d.get("kind") != "pos"
-        ]
-
-    def _load_pos_deletes(self, snapshot: int | None = None) -> dict:
-        """{target data-file path: sorted int64 positions}, merged across
-        every position-delete file in the snapshot. Driver-side, bounded by
-        the same scan cap as equality keys (_load_delete_keys enforces the
-        combined total)."""
-        import numpy as np
-
-        import pandas as pd
-
-        frames = [
-            read_file(os.path.join(self.root, d["path"])).to_pandas()
-            for d in self.delete_files_meta(snapshot)
-            if d.get("kind") == "pos"
-        ]
-        if not frames:
-            return {}
-        df = pd.concat(frames, ignore_index=True)
-        return {p: np.unique(g.to_numpy().astype(np.int64))
-                for p, g in df.groupby("file_path")["pos"]}
-
-    @staticmethod
-    def _applicable_seq(seq_added: int, loaded) -> tuple:
-        """Indices of delete files applying to a data file added at
-        `seq_added`: committed AFTER the file's rows were added
-        (seq_added < delete seq; legacy seq_added=-1 counts as oldest)."""
-        return tuple(i for i, (seq, _, _) in enumerate(loaded)
-                     if seq_added < seq)
-
-    def _applicable(self, entry: ManifestEntry, loaded) -> tuple:
-        return self._applicable_seq(entry.seq_added, loaded)
+        seq = self.resolve_ref(snapshot)
+        dels = self._deletes
+        if dels is None or dels.seq != seq:
+            dels = self._deletes = DeleteState(self, seq)
+        return dels
 
     # ------------------------------------------------------------------ scans
+
+    def live_reader(
+        self,
+        columns: list[str] | None = None,
+        snapshot: int | str | None = None,
+        apply_deletes: bool = True,
+        lineage: bool = False,
+    ):
+        """The one reader of data files, behind every scan and rewrite:
+        `read(path, seq_added=None)` returns that file's live rows in the
+        current schema, whole or projected to `columns` (in that order).
+
+        - Schema: `core.io.read_current` decides from the file's own.
+        - Deletes (`apply_deletes`, of `snapshot`): the file's position
+          deletes, and the equality deletes committed after `seq_added`
+          (looked up by path when None), probed as one union per
+          applicable set. A projection reads the delete key columns too
+          and drops them after the probe.
+        - `lineage`: `_file` (the manifest path) and `_pos` (the row's
+          ordinal in the file, assigned before any delete) come last."""
+        schema = self.schema
+        want = (schema if columns is None
+                else pa.schema([schema.field(c) for c in columns]))
+        renames = self.meta.get("column_renames") or {}
+        dels = self.delete_state(snapshot) if apply_deletes else None
+        eq = bool(dels and dels.loaded)
+        lin = [LINEAGE_FILE, LINEAGE_POS] if lineage else []
+
+        def read(path: str, seq_added: int | None = None) -> pa.Table:
+            app: tuple = ()
+            if eq:
+                if seq_added is None:
+                    seq_added = dels.seq_added(self, path)
+                app = dels.applicable(seq_added)
+            got = want
+            if app and columns is not None:
+                need = dict.fromkeys([*columns, *dels.key_cols(app)])
+                got = pa.schema([schema.field(c) for c in need])
+            t = read_current(os.path.join(self.root, path), got, renames,
+                             whole=columns is None)
+            if lineage:
+                t = t.append_column(
+                    LINEAGE_FILE, pa.array([path] * len(t), pa.string()))
+                t = t.append_column(
+                    LINEAGE_POS, pa.array(np.arange(len(t), dtype=np.int64)))
+            keep = dels.keep_mask(t, path, app) if dels else None
+            if keep is not None and not keep.all():
+                t = t.filter(pa.array(keep))
+            return t if got is want else t.select(want.names + lin)
+
+        return read
 
     def scan(
         self,
@@ -1023,145 +1032,74 @@ class Table:
         apply_deletes: bool = True,
         **read_kwargs,
     ):
-        """Snapshot-pinned streaming scan → ray.data.Dataset."""
+        """Snapshot-pinned streaming scan → ray.data.Dataset. Files that no
+        delete reaches and that postdate the last schema change stream
+        through `read_parquet`; every other file is read by `live_reader`."""
         import ray.data
 
         if entries is None:
             entries = self.live_entries(snapshot)
-        if apply_deletes and self.delete_files_meta(snapshot):
-            return self._scan_with_deletes(snapshot, columns, entries,
-                                           **read_kwargs)
-        paths = self._paths(entries)
-        if not paths:
+        dels = self.delete_state(snapshot) if apply_deletes else None
+        changed_at = self.meta.get("schema_last_updated_seq")
+        clean, other = [], []
+        for e in entries:
+            own = (changed_at is not None and e.seq_added <= changed_at
+                   or dels and (e.path in dels.posmap
+                                or dels.applicable(e.seq_added)))
+            (other if own else clean).append(e)
+        parts = []
+        if clean:
+            # The data/p=<bucket>/ layout must NOT be hive-inferred into a
+            # phantom "p" column — partition identity lives in the
+            # manifest, never in the data schema. partitioning=None
+            # enforces that for full-schema scans; with an explicit column
+            # list the phantom is excluded anyway (and Ray's parquet
+            # datasource has an UnboundLocalError bug when columns +
+            # partitioning=None combine).
+            if columns is None:
+                read_kwargs.setdefault("partitioning", None)
+            parts.append(ray.data.read_parquet(
+                self._paths(clean), columns=columns, **read_kwargs))
+        if other:
+            parts.append(self._read_tasks(
+                other, columns, snapshot, apply_deletes,
+                where=read_kwargs.get("filter")))
+        if not parts:
             return ray.data.from_arrow(self.schema.empty_table())
-        # The data/p=<bucket>/ layout must NOT be hive-inferred into a
-        # phantom "p" column — partition identity lives in the manifest,
-        # never in the data schema. partitioning=None enforces that for
-        # full-schema scans; with an explicit column list the phantom is
-        # excluded anyway (and Ray's parquet datasource has an
-        # UnboundLocalError bug when columns + partitioning=None combine).
-        needs_norm = self._needs_normalize(entries)
-        read_columns = columns
-        if needs_norm:
-            # pre-evolution files lack the new columns — pyarrow errors on a
-            # column selection naming them, so select via the normalize step
-            # instead (compaction migrates files and restores read pruning)
-            read_columns = None
-        if read_columns is None:
-            read_kwargs.setdefault("partitioning", None)
-        ds = ray.data.read_parquet(paths, columns=read_columns, **read_kwargs)
-        if needs_norm:
-            from raylake.functions.cleaning import apply_renames, normalize_schema
+        return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
 
-            schema = self.schema
-            if columns is not None:
-                schema = pa.schema([schema.field(c) for c in columns])
-            renames = self.meta.get("column_renames") or {}
-            ds = ds.map_batches(
-                lambda t: normalize_schema(apply_renames(t, renames), schema),
-                batch_format="pyarrow",
-            )
-        return ds
-
-    def _scan_with_deletes(self, snapshot, columns, entries, **read_kwargs):
-        """Split files into groups by which delete files apply (the Iceberg
-        sequence rule), filter each group in map_batches against the
-        broadcast key tables, union the streams. Files targeted by POSITION
-        deletes are read file-at-a-time in tasks (positions index the file's
-        own row order, so the reader must know which file a batch came
-        from) with the position map broadcast once."""
+    def _read_tasks(self, entries: list[ManifestEntry], columns, snapshot,
+                    apply_deletes: bool, lineage: bool = False, where=None):
+        """Dataset of `live_reader` over `entries`, one file per batch: the
+        reader must know file boundaries (positions index a file's own
+        rows). `where`, a dataset expression, filters each file's rows."""
         import ray
         import ray.data
 
-        from raylake.core.deletes import filter_deleted
+        if apply_deletes:
+            dels = self.delete_state(snapshot)
+            for e in entries:  # each union probe is built once, here
+                app = dels.applicable(e.seq_added)
+                if app:
+                    dels.probes(app)
+        ref = ray.put(self)
+        read_cols = columns if where is None else None
 
-        loaded = self._load_delete_keys(snapshot)
-        posmap = self._load_pos_deletes(snapshot)
-        pos_entries = [e for e in entries if e.path in posmap]
-        entries = [e for e in entries if e.path not in posmap]
-        groups: dict[tuple, list] = {}
-        for e in entries:
-            groups.setdefault(self._applicable(e, loaded), []).append(e)
+        def read(b: pa.Table) -> pa.Table:
+            read_one = ray.get(ref).live_reader(read_cols, snapshot,
+                                                apply_deletes, lineage)
+            t = pa.concat_tables([
+                read_one(p, s) for p, s in zip(b["path"].to_pylist(),
+                                               b["seq_added"].to_pylist())])
+            if where is not None:
+                t = t.filter(where)
+                if columns is not None:
+                    t = t.select(columns)
+            return t
 
-        parts = []
-        for app, ents in sorted(groups.items()):
-            if not app:
-                parts.append(self.scan(snapshot=snapshot, columns=columns,
-                                       entries=ents, apply_deletes=False,
-                                       **read_kwargs))
-                continue
-            keyset = sorted(set().union(*[set(loaded[i][1]) for i in app]))
-            need = (sorted(set(columns) | set(keyset))
-                    if columns is not None else None)
-            ds = self.scan(snapshot=snapshot, columns=need, entries=ents,
-                           apply_deletes=False, **read_kwargs)
-            dels_ref = ray.put([loaded[i][2] for i in app])
-            project = columns
-
-            def fn(t: pa.Table, dels_ref=dels_ref, project=project) -> pa.Table:
-                return filter_deleted(t, ray.get(dels_ref), project)
-
-            parts.append(ds.map_batches(fn, batch_format="pyarrow"))
-
-        if pos_entries:
-            pos_ref = ray.put(posmap)
-            dels_ref = ray.put(loaded)
-            root = self.root
-            keyset = sorted(set().union(
-                set(), *[set(kc) for _, kc, _ in loaded]))
-            need = (sorted(set(columns) | set(keyset))
-                    if columns is not None else None)
-            renames = self.meta.get("column_renames") or {}
-            need_schema = (pa.schema([self.schema.field(c) for c in need])
-                           if need is not None else self.schema)
-            project = columns
-
-            def read_pos(batch: pa.Table) -> pa.Table:
-                from raylake.functions.cleaning import (
-                    apply_renames,
-                    normalize_schema,
-                )
-
-                pm = ray.get(pos_ref)
-                dl = ray.get(dels_ref)
-                tabs = []
-                for p, sa in zip(batch["path"].to_pylist(),
-                                 batch["seq_added"].to_pylist()):
-                    try:
-                        t = read_file(os.path.join(root, p), columns=need)
-                    except (pa.ArrowInvalid, KeyError):
-                        # pre-evolution file lacking a selected column
-                        t = read_file(os.path.join(root, p))
-                    if t.schema != need_schema:  # pre-evolution layout
-                        t = normalize_schema(apply_renames(t, renames),
-                                             need_schema)
-                    from raylake.core.deletes import apply_positions
-
-                    t = apply_positions(t, pm[p])
-                    app = Table._applicable_seq(sa, dl)
-                    if app:
-                        t = filter_deleted(t, [dl[i][2] for i in app])
-                    if project is not None:
-                        t = t.select(project)
-                    tabs.append(t)
-                return pa.concat_tables(tabs)
-
-            items = pa.table({
-                "path": pa.array([e.path for e in pos_entries]),
-                "seq_added": pa.array([e.seq_added for e in pos_entries],
-                                      pa.int64()),
-            })
-            parts.append(
-                ray.data.from_arrow(items)
-                .repartition(len(pos_entries))  # one read task per file
-                .map_batches(read_pos, batch_format="pyarrow"))
-
-        if not parts:
-            return ray.data.from_arrow(self.schema.empty_table())
-        out = parts[0]
-        for p in parts[1:]:
-            out = out.union(p)
-        return out
+        items = ray.data.from_items(
+            [{"path": e.path, "seq_added": e.seq_added} for e in entries])
+        return items.map_batches(read, batch_format="pyarrow", batch_size=1)
 
     def scan_arrow(
         self,
@@ -1174,64 +1112,12 @@ class Table:
         """Driver-side scan (tests / duckdb oracles / small results ONLY)."""
         if entries is None:
             entries = self.live_entries(snapshot)
-        if apply_deletes and self.delete_files_meta(snapshot):
-            from raylake.core.deletes import filter_deleted
-
-            loaded = self._load_delete_keys(snapshot)
-            posmap = self._load_pos_deletes(snapshot)
-            parts = []
-            for e in entries:
-                app = self._applicable(e, loaded)
-                keyset = sorted(set().union(
-                    *[set(loaded[i][1]) for i in app])) if app else []
-                need = (sorted(set(columns) | set(keyset))
-                        if columns is not None else None)
-                t = self.scan_arrow(snapshot=snapshot, columns=need,
-                                    entries=[e], apply_deletes=False)
-                pos = posmap.get(e.path)
-                if pos is not None:
-                    from raylake.core.deletes import apply_positions
-
-                    t = apply_positions(t, pos)
-                if app:
-                    t = filter_deleted(t, [loaded[i][2] for i in app])
-                # Project unconditionally: entries WITHOUT applicable deletes
-                # were read with the sorted key-superset column order, so a
-                # mixed-applicability concat would raise ArrowInvalid (and an
-                # all-clean scan would silently return sorted column order).
-                if columns is not None:
-                    t = t.select(columns)
-                parts.append(t)
-            t = (pa.concat_tables(parts) if parts
-                 else self.schema.empty_table())
-            if sort and len(t):
-                t = t.sort_by([(c, "ascending") for c in self.sort_order
-                               if c in t.column_names])
-            return t
-        paths = self._paths(entries)
-        if not paths:
-            t = self.schema.empty_table()
-        else:
-            if self._needs_normalize(entries):
-                from raylake.functions.cleaning import (
-                    apply_renames,
-                    normalize_schema,
-                )
-
-                schema = self.schema
-                if columns is not None:
-                    schema = pa.schema([schema.field(c) for c in columns])
-                renames = self.meta.get("column_renames") or {}
-                tabs = [
-                    normalize_schema(apply_renames(read_file(p), renames),
-                                     schema)
-                    for p in paths
-                ]
-            else:
-                tabs = [read_file(p, columns=columns) for p in paths]
-            t = pa.concat_tables(tabs)
+        read = self.live_reader(columns, snapshot, apply_deletes)
+        tabs = [read(e.path, e.seq_added) for e in entries]
+        t = pa.concat_tables(tabs) if tabs else self.schema.empty_table()
         if sort and len(t):
-            t = t.sort_by([(c, "ascending") for c in self.sort_order if c in t.column_names])
+            t = t.sort_by([(c, "ascending") for c in self.sort_order
+                           if c in t.column_names])
         return t
 
     # ------------------------------------------------------- schema evolution
@@ -1374,12 +1260,6 @@ class Table:
             md.atomic_write_json(
                 os.path.join(self.root, "metadata", "table.json"), self.meta
             )
-
-    def _needs_normalize(self, entries: Iterable[ManifestEntry]) -> bool:
-        changed_at = self.meta.get("schema_last_updated_seq")
-        if changed_at is None:
-            return False
-        return any(e.seq_added <= changed_at for e in entries)
 
     # ---------------------------------------------------------------- commit
 
@@ -1729,7 +1609,7 @@ class Table:
         # Strip schema metadata (pandas round-trips attach a b'pandas' blob
         # that makes pa.Schema unhashable — Ray Data then logs "Failed to
         # hash the schemas" on every block unify and skips its dedup fast
-        # path; it also breaks read_task_inputs' schema-equality fast path).
+        # path).
         if table.schema.metadata:
             table = table.replace_schema_metadata(None)
         # Codec is a TABLE PROPERTY (Iceberg `write.parquet.compression-codec`

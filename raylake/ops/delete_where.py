@@ -22,28 +22,22 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
 import pyarrow as pa
 
-from raylake.core.io import read_file
-from raylake.core.table import Table
-from raylake.functions.cleaning import apply_renames, normalize_schema
-
-LINEAGE_FILE = "_file"
-LINEAGE_POS = "_pos"
+from raylake.core.table import LINEAGE_FILE, LINEAGE_POS, Table
 
 
 def scan_with_lineage(table: Table, columns: list[str] | None = None,
                       snapshot: int | None = None, live_only: bool = False):
     """Streaming Dataset of PHYSICAL rows with `_file` (manifest-relative
-    path) and `_pos` (row ordinal within that file) metadata columns.
-    By default rows already hidden by merge-on-read delete files are
-    included — the raw-file view provenance tools need. With
-    `live_only=True` committed position deletes and applicable equality
-    deletes (the `seq_added < seq` rule) are subtracted per file, so only
-    logically LIVE rows flow — `_pos` still indexes the file's raw row
-    order (assigned before any mask)."""
-    import ray
+    path) and `_pos` (row ordinal within that file) metadata columns, one
+    file per task (`Table.live_reader(lineage=True)`). By default rows
+    already hidden by merge-on-read delete files are included — the
+    raw-file view provenance tools need. With `live_only=True` committed
+    position deletes and applicable equality deletes (the `seq_added <
+    seq` rule) are subtracted per file, so only logically LIVE rows flow —
+    `_pos` still indexes the file's raw row order (assigned before any
+    mask)."""
     import ray.data
 
     entries = table.live_entries(snapshot)
@@ -52,52 +46,8 @@ def scan_with_lineage(table: Table, columns: list[str] | None = None,
         empty = empty.append_column(LINEAGE_FILE, pa.array([], pa.string()))
         empty = empty.append_column(LINEAGE_POS, pa.array([], pa.int64()))
         return ray.data.from_arrow(empty)
-    root = table.root
-    renames = table.meta.get("column_renames") or {}
-    schema = table.schema
-    loaded, posmap = [], {}
-    if live_only:
-        loaded = table._load_delete_keys(snapshot)
-        posmap = table._load_pos_deletes(snapshot)
-    key_cols = sorted(set().union(set(), *[set(kc) for _, kc, _ in loaded]))
-    if columns is not None:
-        read_cols = sorted(set(columns) | set(key_cols))
-        schema = pa.schema([schema.field(c) for c in read_cols])
-    project = None if columns is None else (
-        list(columns) + [LINEAGE_FILE, LINEAGE_POS])
-    dels_ref = ray.put(loaded) if loaded else None
-    pos_ref = ray.put(posmap) if posmap else None
-
-    def read_one(b: pa.Table) -> pa.Table:
-        import os
-
-        from raylake.core.deletes import apply_positions, filter_deleted
-
-        dl = ray.get(dels_ref) if dels_ref is not None else []
-        pm = ray.get(pos_ref) if pos_ref is not None else {}
-        out = []
-        for rel, sa in zip(b["path"].to_pylist(),
-                           b["seq_added"].to_pylist()):
-            t = read_file(os.path.join(root, rel))
-            t = normalize_schema(apply_renames(t, renames), schema)
-            t = t.append_column(
-                LINEAGE_FILE, pa.array([rel] * len(t), pa.string()))
-            t = t.append_column(
-                LINEAGE_POS, pa.array(np.arange(len(t), dtype=np.int64)))
-            if rel in pm:
-                t = apply_positions(t, pm[rel])
-            app = Table._applicable_seq(sa, dl)
-            if app:
-                t = filter_deleted(t, [dl[i][2] for i in app])
-            if project is not None:
-                t = t.select(project)
-            out.append(t)
-        return pa.concat_tables(out)
-
-    paths = ray.data.from_items(
-        [{"path": e.path, "seq_added": e.seq_added} for e in entries])
-    # one file per task: positions are per-file ordinals
-    return paths.map_batches(read_one, batch_format="pyarrow", batch_size=1)
+    return table._read_tasks(entries, columns, snapshot, live_only,
+                             lineage=True)
 
 
 def delete_where(table: Table,

@@ -16,14 +16,15 @@ judge it exactly:
   not hold exactly, a file without key bounds, an incomparable value) its
   first key column is tested against the file's min/max stats, and a null
   key or a file without stats cannot be excluded.
-Execute: rewrite tasks read their files through `read_task_inputs` (which
-applies the deletes) and write the filtered rows back; a task whose file
-contained no matching key skips its rewrite. Commit: replaced files + ALL
-current delete files removed, in one atomic snapshot — unplanned files
-provably contained no applicable key, so dropping the delete files cannot
-resurrect or lose rows. Files appended concurrently carry a later sequence
-and were never subject to the deletes. The snapshot summary records the
-planned `input_files` and the `excluded_files` the bounds ruled out.
+Execute: rewrite tasks read their files through `read_task_inputs`
+(`Table.live_reader`, which applies the deletes) and write the filtered
+rows back; a task whose file contained no matching key skips its rewrite.
+Commit: replaced files + ALL current delete files removed, in one atomic
+snapshot — unplanned files provably contained no applicable key, so
+dropping the delete files cannot resurrect or lose rows. Files appended
+concurrently carry a later sequence and were never subject to the
+deletes. The snapshot summary records the planned `input_files` and the
+`excluded_files` the bounds ruled out.
 """
 
 from __future__ import annotations
@@ -90,10 +91,10 @@ def plan_apply_deletes(
     """(tasks, delete file paths, excluded files): the rewrite tasks of the
     purge, the delete files it removes, and how many live files under an
     applicable delete file the key bounds ruled out."""
-    loaded = table._load_delete_tables()
-    posmap = table._load_pos_deletes()
+    dels = table.delete_state()
+    loaded, posmap = dels.loaded, dels.posmap
     delete_paths = [d["path"] for d in table.delete_files_meta()]
-    if not loaded and not posmap:
+    if not dels:
         return [], delete_paths, 0
 
     # per delete file: its exact key tuples for the composite bounds (None
@@ -132,7 +133,7 @@ def plan_apply_deletes(
         if e.path in posmap:  # position-targeted files always rewrite
             affected_by_part[e.partition].append(e)
             continue
-        app = table._applicable(e, loaded)
+        app = dels.applicable(e.seq_added)
         if not app:
             continue
         if any(may_hold(e, i) for i in app):

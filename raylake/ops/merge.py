@@ -478,26 +478,8 @@ def _task_source(table: Table, task: dict, params: dict,
     )
     staged_rows_read = len(src)
     src = _filter_key_range(src, k0, k1, lo, hi)
-    if len(src) > 1:
-        order_col = params["order_col"]
-        src = src.append_column(
-            "__ord", pa.array(np.arange(len(src), dtype=np.int64))
-        )
-        sort_keys = [(k, "ascending") for k in keys]
-        if order_col and order_col in src.column_names:
-            sort_keys.append((order_col, "ascending"))
-        sort_keys.append(("__ord", "ascending"))
-        src = src.sort_by(sort_keys).combine_chunks().drop(["__ord"])
-        last = None
-        for k in keys:  # real-key comparison, not hashes (collision-proof)
-            a = src[k].combine_chunks()
-            neq = pc.not_equal(a.slice(0, len(a) - 1), a.slice(1))
-            last = neq if last is None else pc.or_(last, neq)
-        last_np = np.concatenate(
-            [last.to_numpy(zero_copy_only=False).astype(bool), [True]]
-        )
-        if not last_np.all():
-            src = src.filter(pa.array(last_np))
+    src = last_writer_wins(src.schema.empty_table(), src, keys,
+                           params["order_col"])
     return src, staged_rows_read
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import os
 import time
 import uuid
 from dataclasses import asdict, dataclass, field
@@ -35,7 +34,6 @@ import pandas as pd
 import pyarrow as pa
 
 from raylake.core.hashing import hash32_rows
-from raylake.core.io import read_file
 from raylake.core.metadata import ManifestEntry
 from raylake.core.table import Table
 from raylake.state.ledger import Ledger
@@ -127,119 +125,26 @@ class RewriteTask:
     extra: dict = field(default_factory=dict)
 
 
-class _DeleteState:
-    """The merge-on-read deletes of one snapshot, as one Table instance
-    (one bin) reads them: raw equality key tables, the data files'
-    sequence numbers and the position map, plus one `KeySet` per distinct
-    applicable set of delete files and key-column schema, built on first
-    use. A file under N applicable delete files then costs one probe, not
-    N (10 delete files over a 10k-row file: 9.7 ms as N probes, 2.75 ms as
-    one probe of their union)."""
-
-    def __init__(self, table: Table, snapshot):
-        self.snapshot = snapshot
-        metas = table.delete_files_meta(snapshot)
-        self.loaded = table._load_delete_tables(snapshot) if metas else []
-        self.posmap = table._load_pos_deletes(snapshot) if metas else {}
-        self.seqmap = (
-            {e.path: e.seq_added for e in table.live_entries(snapshot)}
-            if metas else {}
-        )
-        self._probes: dict[tuple, list] = {}
-
-    def applicable(self, path: str) -> tuple:
-        if not self.loaded:
-            return ()
-        return Table._applicable_seq(self.seqmap.get(path, -1), self.loaded)
-
-    def key_cols(self, app: tuple) -> list[str]:
-        return list(dict.fromkeys(c for i in app for c in self.loaded[i][1]))
-
-    def probes(self, app: tuple) -> list:
-        """One KeySet per key-column schema among the delete files `app`.
-        Only tables of an identical schema are concatenated: a union of
-        differently typed keys would compare in a promoted type, which
-        is not always the exact per-file comparison."""
-        if app not in self._probes:
-            from raylake.core.deletes import KeySet
-
-            groups: dict[pa.Schema, list] = {}
-            for i in app:
-                keys = self.loaded[i][2].replace_schema_metadata(None)
-                keys = keys.select(sorted(keys.column_names))
-                groups.setdefault(keys.schema, []).append(keys)
-            self._probes[app] = [KeySet(pa.concat_tables(tabs))
-                                 for tabs in groups.values()]
-        return self._probes[app]
-
-
-def _read_current(table: Table, path: str, schema: pa.Schema,
-                  columns: list[str] | None) -> pa.Table:
-    """One data file as `schema`, the table's current schema or its
-    projection to `columns` (renamed, padded and cast). A file written
-    before a schema change may lack a projected column: it is read whole
-    and normalized, as compaction would migrate it."""
-    full = os.path.join(table.root, path)
-    try:
-        t = read_file(full, columns=columns)
-    except (pa.ArrowInvalid, KeyError):
-        t = read_file(full)
-    if t.schema != schema:
-        from raylake.functions.cleaning import apply_renames, normalize_schema
-
-        renames = table.meta.get("column_renames") or {}
-        t = normalize_schema(apply_renames(t, renames), schema)
-    return t
-
-
 def read_task_inputs(table: Table, task: dict,
                      snapshot: int | str | None = None,
                      columns: list[str] | None = None) -> pa.Table:
-    """The live rows of a task's input files, whole or projected to
-    `columns`. `snapshot` (seq or branch name) pins the DELETE state
-    applied while rewriting — branch-scoped maintenance must apply the
-    branch's deletes, not main's. A projection still applies every
-    position and equality delete: it reads the delete key columns too and
-    drops them after the filter."""
+    """The live rows of a task's input files (`Table.live_reader`), whole or
+    projected to `columns`. `snapshot` (seq or branch name) pins the
+    DELETE state applied while rewriting — branch-scoped maintenance must
+    apply the branch's deletes, not main's. Merge-on-read deletes MUST be
+    applied here: the output file gets a NEW sequence number, so the
+    delete files would stop applying to it (Iceberg's rule). The delete
+    state is loaded once per Table instance (`_rewrite_batch_inner` loads
+    one per bin), and the input files' sequence numbers with it, in one
+    manifest walk, only while equality deletes exist."""
     paths = task["input_paths"]
-    schema = table.schema
     if not paths:
+        schema = table.schema
         if columns is not None:
             schema = pa.schema([schema.field(c) for c in columns])
         return schema.empty_table()
-    # merge-on-read deletes MUST be applied while rewriting: the output file
-    # gets a NEW sequence number, so the delete files would stop applying to
-    # it — skipping this would resurrect deleted rows (Iceberg's rule).
-    # Memoized per Table instance: _rewrite_batch_inner loads one Table per
-    # bin, so the manifest walk + delete-parquet reads (and each union
-    # KeySet build) happen at most once per bin, not once per task or
-    # input file, and ONLY while delete files exist (they're transient — the
-    # purge op removes them); with no deletes this costs one snapshot read.
-    dels = getattr(table, "_mor_state", None)
-    if dels is None or dels.snapshot != snapshot:
-        dels = table._mor_state = _DeleteState(table, snapshot)
-    tabs = []
-    for p in paths:
-        app = dels.applicable(p)
-        need, need_schema = columns, schema
-        if columns is not None:
-            if app:
-                need = list(dict.fromkeys([*columns, *dels.key_cols(app)]))
-            need_schema = pa.schema([schema.field(c) for c in need])
-        t = _read_current(table, p, need_schema, need)
-        pos = dels.posmap.get(p)
-        if pos is not None:
-            # position deletes bind to THIS file version: apply while
-            # rewriting (the commit prunes the entry's replaced targets)
-            from raylake.core.deletes import apply_positions
-
-            t = apply_positions(t, pos)
-        if app:
-            from raylake.core.deletes import filter_deleted
-
-            t = filter_deleted(t, dels.probes(app), columns)
-        tabs.append(t)
-    return pa.concat_tables(tabs).combine_chunks()
+    read = table.live_reader(columns, snapshot)
+    return pa.concat_tables([read(p) for p in paths]).combine_chunks()
 
 
 def cut_and_write(
