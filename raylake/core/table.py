@@ -1033,20 +1033,34 @@ class Table:
         **read_kwargs,
     ):
         """Snapshot-pinned streaming scan → ray.data.Dataset. Files that no
-        delete reaches and that postdate the last schema change stream
-        through `read_parquet`; every other file is read by `live_reader`."""
+        delete reaches stream through `read_parquet`; every other file is
+        read by `live_reader` in per-file tasks, which honour only the
+        `filter` read kwarg (any other raises rather than being dropped).
+        When any file predates the last schema change, every file goes
+        through `live_reader`: a file committed after the change may still
+        be in the old schema (its writer loaded the table before it), and
+        only its footer, which `read_parquet` does not consult, tells.
+        Over clean files `read_parquet` is 2.5–4× faster than the per-file
+        tasks (40 and 326 files, 1-CPU host), so it keeps them."""
         import ray.data
 
         if entries is None:
             entries = self.live_entries(snapshot)
         dels = self.delete_state(snapshot) if apply_deletes else None
         changed_at = self.meta.get("schema_last_updated_seq")
+        stale = changed_at is not None and any(
+            e.seq_added <= changed_at for e in entries)
         clean, other = [], []
         for e in entries:
-            own = (changed_at is not None and e.seq_added <= changed_at
-                   or dels and (e.path in dels.posmap
-                                or dels.applicable(e.seq_added)))
+            own = stale or dels and (e.path in dels.posmap
+                                     or dels.applicable(e.seq_added))
             (other if own else clean).append(e)
+        extra = sorted(k for k in read_kwargs if k != "filter")
+        if other and extra:
+            raise ValueError(
+                f"scan read kwargs {extra} apply to read_parquet only; "
+                "files a delete reaches or that predate the last schema "
+                "change are read per file, which honours filter= only")
         parts = []
         if clean:
             # The data/p=<bucket>/ layout must NOT be hive-inferred into a

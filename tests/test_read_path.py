@@ -172,6 +172,15 @@ def test_file_committed_after_add_column_reads_current_schema(
     assert lookup.equals(want.select(cols))
     task = {"input_paths": [e.path]}
     assert read_task_inputs(t, task, columns=cols).equals(want.select(cols))
+    # the older files send every file of the scan through the reader
+    whole = t.scan_arrow()
+    assert whole["score"].null_count == len(whole)
+    assert _rows(_ds_rows(t.scan())).equals(_rows(whole))
+    assert _rows(_ds_rows(t.scan(columns=cols))).equals(
+        _rows(whole.select(cols)))
+    # a read_parquet option the per-file tasks cannot honour raises
+    with pytest.raises(ValueError, match="override_num_blocks"):
+        t.scan(override_num_blocks=2)
 
 
 def test_rename_then_readd_old_name_reads_nulls(tmp_table_root,
