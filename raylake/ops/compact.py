@@ -16,15 +16,14 @@ pre-compaction scan under `(conv_id, turn_idx)` ordering.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 from raylake.core.table import Table
 from raylake.ops.rewrite import (
     DEFAULT_TARGET_FILE_BYTES,
     RewriteTask,
-    cut_and_write,
+    group_files,
     read_task_inputs,
     run_rewrite_job,
+    task_result,
 )
 
 
@@ -38,66 +37,19 @@ def plan_compaction(
     snapshot: int | None = None,
 ) -> list[RewriteTask]:
     small_file_bytes = small_file_bytes or int(target_file_bytes * 0.75)
-    max_task_bytes = max_task_bytes or target_file_bytes * 4
-    mf = None
-    if partitions is not None:
-        import bisect
-
-        psorted = sorted(partitions)
-
-        def mf(env: dict) -> bool:
-            p = env.get("p") or [None, None]
-            if p[0] is None:
-                return True
-            i = bisect.bisect_left(psorted, p[0])
-            return i < len(psorted) and psorted[i] <= p[1]
-
-    by_part: dict[int, list] = defaultdict(list)
-    for e in table.live_entries(snapshot, manifest_filter=mf):
-        if partitions is not None and e.partition not in partitions:
-            continue
-        if e.bytes < small_file_bytes:
-            by_part[e.partition].append(e)
-
-    tasks: list[RewriteTask] = []
-    for p, files in sorted(by_part.items()):
-        if len(files) < min_input_files:
-            continue
-        files.sort(key=lambda e: (e.stats.get("conv_id") or ["", ""])[0] or "")
-        group: list = []
-        gbytes = 0
-
-        def flush():
-            nonlocal group, gbytes
-            if len(group) >= min_input_files:
-                tasks.append(
-                    RewriteTask(
-                        task_id=f"p{p:05d}-{len(tasks):04d}",
-                        partition=p,
-                        input_paths=[e.path for e in group],
-                        input_bytes=gbytes,
-                        input_rows=sum(e.rows for e in group),
-                    )
-                )
-            group, gbytes = [], 0
-
-        for e in files:
-            if group and gbytes + e.bytes > max_task_bytes:
-                flush()
-            group.append(e)
-            gbytes += e.bytes
-        flush()
-    return tasks
+    small = [e for e in table.prune(partitions=partitions, snapshot=snapshot)
+             if e.bytes < small_file_bytes]
+    return group_files(
+        small, "p", max_task_bytes or target_file_bytes * 4,
+        min_files=min_input_files,
+        order=lambda files: sorted(files, key=lambda e: (
+            e.stats.get("conv_id") or ["", ""])[0] or ""))
 
 
 def _compact_task(table: Table, task: dict, params: dict) -> dict:
     data = read_task_inputs(table, task, snapshot=params.get("branch"))
     data = data.sort_by([(c, "ascending") for c in table.sort_order])
-    bpr = task["input_bytes"] / max(1, task["input_rows"])
-    entries = cut_and_write(
-        table, data, task["partition"], params["target_file_bytes"], bpr
-    )
-    return {"entries": entries, "replaced": task["input_paths"], "rows": len(data)}
+    return task_result(table, task, params, data)
 
 
 def compact(
@@ -116,21 +68,11 @@ def compact(
     scoped to that ref (planned from its head, branch deletes applied,
     committed to it) — WAP maintenance: audit the compacted branch, then
     fast_forward to publish."""
-    from raylake.state.ledger import Ledger
-
-    if job_id is not None and Ledger(table.root, job_id).read_meta() is not None:
-        tasks = []  # resume path: run_rewrite_job reloads the persisted plan
-    else:
-        tasks = plan_compaction(
-            table, target_file_bytes=target_file_bytes,
-            snapshot=branch, **plan_kwargs
-        )
-        if not tasks:
-            return None
     return run_rewrite_job(
         table,
         "compact",
-        tasks,
+        lambda: (plan_compaction(table, target_file_bytes=target_file_bytes,
+                                 snapshot=branch, **plan_kwargs), {}),
         _compact_task,
         job_id=job_id,
         params={"target_file_bytes": target_file_bytes, "branch": branch},

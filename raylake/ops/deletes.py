@@ -30,7 +30,6 @@ deletes. The snapshot summary records the planned `input_files` and the
 from __future__ import annotations
 
 import bisect
-from collections import defaultdict
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -39,9 +38,11 @@ from raylake.core.table import Table
 from raylake.ops.rewrite import (
     DEFAULT_TARGET_FILE_BYTES,
     RewriteTask,
-    cut_and_write,
+    group_files,
     read_task_inputs,
     run_rewrite_job,
+    skipped,
+    task_result,
 )
 
 
@@ -127,55 +128,28 @@ def plan_apply_deletes(
         except TypeError:
             return True
 
-    affected_by_part = defaultdict(list)
+    affected = []
     excluded = 0
     for e in table.live_entries():
         if e.path in posmap:  # position-targeted files always rewrite
-            affected_by_part[e.partition].append(e)
+            affected.append(e)
             continue
         app = dels.applicable(e.seq_added)
         if not app:
             continue
         if any(may_hold(e, i) for i in app):
-            affected_by_part[e.partition].append(e)
+            affected.append(e)
         else:
             excluded += 1
-
-    tasks: list[RewriteTask] = []
-    for p, files in sorted(affected_by_part.items()):
-        group, gbytes = [], 0
-
-        def flush():
-            nonlocal group, gbytes
-            if group:
-                tasks.append(RewriteTask(
-                    task_id=f"d{p:05d}-{len(tasks):04d}",
-                    partition=p,
-                    input_paths=[e.path for e in group],
-                    input_bytes=gbytes,
-                    input_rows=sum(e.rows for e in group),
-                ))
-            group, gbytes = [], 0
-
-        for e in files:
-            if group and gbytes + e.bytes > max_task_bytes:
-                flush()
-            group.append(e)
-            gbytes += e.bytes
-        flush()
-    return tasks, delete_paths, excluded
+    return group_files(affected, "d", max_task_bytes), delete_paths, excluded
 
 
 def _apply_deletes_task(table: Table, task: dict, params: dict) -> dict:
     data = read_task_inputs(table, task)  # deletes applied here
     if len(data) == task["input_rows"]:
         # stats couldn't exclude, but no row actually matched — keep files
-        return {"skipped": True, "entries": [], "replaced": [], "rows": 0}
-    bpr = task["input_bytes"] / max(1, task["input_rows"])
-    entries = cut_and_write(
-        table, data, task["partition"], params["target_file_bytes"], bpr)
-    return {"entries": entries, "replaced": task["input_paths"],
-            "rows": len(data)}
+        return skipped()
+    return task_result(table, task, params, data)
 
 
 def apply_deletes(
@@ -189,25 +163,22 @@ def apply_deletes(
     """Purge merge-on-read delete files by rewriting the affected data files.
     Returns the committed Snapshot, or None when there were no delete files
     (or the job is incomplete — resume with the same job_id)."""
-    from raylake.state.ledger import Ledger
 
-    if job_id is not None and Ledger(table.root, job_id).read_meta() is not None:
-        tasks, delete_paths, excluded = [], None, 0  # resume: persisted plan
-    else:
+    def plan():
         tasks, delete_paths, excluded = plan_apply_deletes(
             table, max_task_bytes or target_file_bytes * 4)
-        if not delete_paths:
-            return None
+        return tasks, {
+            "removed_delete_paths": delete_paths,
+            "summary": {"input_files": sum(len(t.input_paths) for t in tasks),
+                        "excluded_files": excluded}}
+
     return run_rewrite_job(
         table,
         "apply-deletes",
-        tasks,
+        plan,
         _apply_deletes_task,
         job_id=job_id,
         params={"target_file_bytes": target_file_bytes},
         concurrency=concurrency,
         max_tasks=max_tasks,
-        removed_delete_paths=delete_paths,
-        summary={"input_files": sum(len(t.input_paths) for t in tasks),
-                 "excluded_files": excluded},
     )

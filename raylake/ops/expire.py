@@ -132,14 +132,11 @@ def expire_snapshots(
         # periods alone can't cover long-paused jobs)
         jobs_root = os.path.join(table.root, "metadata", "jobs")
         if os.path.isdir(jobs_root):
-            from raylake.state.ledger import Ledger
+            from raylake.state.ledger import Ledger, written_files
 
             for job_id in os.listdir(jobs_root):
-                for rec in Ledger(table.root, job_id).completed().values():
-                    for fe in rec.get("entries", []):
-                        reachable_data.add(fe["path"])
-                    for f in rec.get("cdc_files", []):
-                        reachable_data.add(f["path"])
+                done = Ledger(table.root, job_id).completed().values()
+                reachable_data.update(f["path"] for f in written_files(done))
 
         # enumerate sweep candidates UNDER the lock (the decision point)
         on_disk_data = []

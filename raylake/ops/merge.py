@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import bisect
 import glob
-import json
 import os
 import uuid
 from collections import defaultdict
@@ -75,9 +74,10 @@ from raylake.functions.cleaning import normalize_schema, null_safe_changed
 from raylake.ops.rewrite import (
     DEFAULT_TARGET_FILE_BYTES,
     RewriteTask,
-    cut_and_write,
     read_task_inputs,
     run_rewrite_job,
+    skipped,
+    task_result,
 )
 from raylake.state.ledger import Ledger
 
@@ -259,17 +259,8 @@ def _plan_merge_tasks(
     # plans from a handful of manifest files instead of parsing the whole
     # entry tree on the driver (r04 verdict: 260k entries at sf1, ~26M at
     # 100×). Manifests without envelopes always open (conservative).
-    touched = sorted(int(b) for b in key_stats["bucket"].unique())
-
-    def _mf(env: dict) -> bool:
-        p = env.get("p") or [None, None]
-        if p[0] is None:
-            return True
-        i = bisect.bisect_left(touched, p[0])
-        return i < len(touched) and touched[i] <= p[1]
-
     live_by_part = defaultdict(list)
-    for e in table.live_entries(manifest_filter=_mf):
+    for e in table.prune(partitions={int(b) for b in key_stats["bucket"]}):
         live_by_part[e.partition].append(e)
 
     # Scale guard: per-conv stats give exact file pruning, but a source
@@ -522,11 +513,9 @@ def _merge_task(table: Table, task: dict, params: dict) -> dict:
     src, staged_rows_read = _task_source(table, task, params, keys)
     counters = {"staged_rows_read": staged_rows_read,
                 "staged_rows_used": len(src)}
-    skipped = {"skipped": True, "entries": [], "replaced": [], "rows": 0,
-               **counters}
     if len(src) == 0:
-        return skipped
-    if params.get("write_mode") == "merge-on-read":
+        return skipped(**counters)
+    if task["extra"].get("write_mode") == "merge-on-read":
         return {**_merge_on_read(table, task, params, src, keys), **counters}
 
     tgt = read_task_inputs(table, task)
@@ -538,7 +527,7 @@ def _merge_task(table: Table, task: dict, params: dict) -> dict:
 
     if params["mode"] == "delete":
         if not matched.any():
-            return skipped
+            return skipped(**counters)
         result = tgt.filter(pa.array(~matched))
         if params.get("cdc"):
             counters["cdc_files"] = _write_cdc_file(
@@ -548,22 +537,13 @@ def _merge_task(table: Table, task: dict, params: dict) -> dict:
         if params.get("cdc") or int(matched.sum()) == len(src):
             pre = tgt.filter(pa.array(matched))
             if _is_noop(pre, src, keys):
-                return skipped
+                return skipped(**counters)
         keep = tgt.filter(pa.array(~matched)) if matched.any() else tgt
         result = pa.concat_tables([keep, src])
         if params.get("cdc"):
             counters["cdc_files"] = _upsert_cdc(table, pre, src, keys)
 
-    bpr = (
-        task["input_bytes"] / max(1, task["input_rows"])
-        if task["input_rows"]
-        else max(1.0, result.nbytes / max(1, len(result)) / 3)
-    )
-    entries = cut_and_write(
-        table, result, task["partition"], params["target_file_bytes"], bpr
-    )
-    return {"entries": entries, "replaced": task["input_paths"], "rows": len(result),
-            **counters}
+    return task_result(table, task, params, result, **counters)
 
 
 def _merge_on_read(table: Table, task: dict, params: dict,
@@ -587,22 +567,19 @@ def _merge_on_read(table: Table, task: dict, params: dict,
     n_matched = sum(len(t) for t in matched_keys)
     upsert = params["mode"] == "upsert"
     if n_matched == 0 and not upsert:
-        return {"skipped": True, "entries": [], "replaced": [], "rows": 0}
+        return skipped()
     pre = None
     if params.get("cdc") or (upsert and n_matched == len(src)):
         tgt = read_task_inputs(table, {**task, "input_paths": hits})
         pre = tgt.filter(pa.array(probe.contains(tgt)))
         if upsert and _is_noop(pre, src, keys):
-            return {"skipped": True, "entries": [], "replaced": [], "rows": 0}
-    out: dict = {"replaced": [], "entries": [], "rows": 0}
+            return skipped()
+    out = task_result(table, task, params, src if upsert else src.slice(0, 0),
+                      replace=False,
+                      bytes_per_row=max(1.0, src.nbytes / len(src) / 3))
     if n_matched:
         out["deletes"] = [table.write_delete_file(
             pa.concat_tables(matched_keys))]
-    if upsert:
-        bpr = max(1.0, src.nbytes / len(src) / 3)
-        out["entries"] = cut_and_write(
-            table, src, task["partition"], params["target_file_bytes"], bpr)
-        out["rows"] = len(src)
     if params.get("cdc"):
         out["cdc_files"] = (_upsert_cdc(table, pre, src, keys) if upsert
                             else _write_cdc_file(table, [(pre, "delete")]))
@@ -736,7 +713,7 @@ def _scd2_task_body(
     # insert: new keys (no current match) + changed re-deliveries
     ins_mask = ~src_unchanged
     if not close_mask.any() and not ins_mask.any():
-        return {"skipped": True, "entries": [], "replaced": [], "rows": 0}
+        return skipped()
 
     if close_mask.any():
         # end_timestamp of each closed row = ITS matched source row's start
@@ -755,17 +732,8 @@ def _scd2_task_body(
             pc.if_else(pa.array(close_mask), pa.scalar(False),
                        tgt["is_current"]),
         )
-    result = pa.concat_tables([tgt, src.filter(pa.array(ins_mask))])
-
-    bpr = (
-        task["input_bytes"] / max(1, task["input_rows"])
-        if task["input_rows"]
-        else max(1.0, result.nbytes / max(1, len(result)) / 3)
-    )
-    entries = cut_and_write(
-        table, result, task["partition"], params["target_file_bytes"], bpr
-    )
-    return {"entries": entries, "replaced": task["input_paths"], "rows": len(result)}
+    return task_result(table, task, params,
+                       pa.concat_tables([tgt, src.filter(pa.array(ins_mask))]))
 
 
 # ----------------------------------------------------------------- top level
@@ -857,37 +825,27 @@ def merge_into(
                 else pd.Timestamp(scd2_start_ts).value // 1000
             )
     job_id = job_id or f"merge-{uuid.uuid4().hex[:12]}"
-    ledger = Ledger(table.root, job_id)
-    staging_dir = os.path.join(ledger.dir, "staging")
-    meta = ledger.read_meta()
+    staging_dir = os.path.join(Ledger(table.root, job_id).dir, "staging")
 
-    if meta is None or "tasks" not in meta:
+    def plan():
         key_stats = _stage_source(table, source, staging_dir)
         if len(key_stats) == 0:
-            ledger.clear()
-            return None
+            return [], {}
         tasks = _plan_merge_tasks(
             table, key_stats, max_task_bytes or target_file_bytes * 4
         )
-        meta = {
-            "operation": f"merge:{mode}",
-            "parent_seq": table.current_seq,
-            "task_ids": [t.task_id for t in tasks],
-            "tasks": [json.loads(json.dumps(t.__dict__)) for t in tasks],
-            # persisted: a resumed job takes the path its ledger was
-            # written on, whatever the sizes are by then
-            "summary": _choose_write_mode(table, mode, tasks, key_stats,
-                                          staging_dir),
-        }
-        ledger.write_meta(meta)
-    else:
-        tasks = [RewriteTask(**t) for t in meta["tasks"]]
-    write_mode = meta.get("summary", {}).get("write_mode", "copy-on-write")
+        # persisted with the plan: a resumed job takes the path its ledger
+        # was written on, whatever the sizes are by then
+        summary = _choose_write_mode(table, mode, tasks, key_stats,
+                                     staging_dir)
+        for t in tasks:
+            t.extra["write_mode"] = summary["write_mode"]
+        return tasks, {"summary": summary}
 
     return run_rewrite_job(
         table,
         "merge",
-        tasks,
+        plan,
         _merge_task,
         job_id=job_id,
         params={
@@ -899,7 +857,6 @@ def merge_into(
             "scd2_start_col": scd2_start_col,
             "tracked_cols": tracked_cols,
             "cdc": cdc,
-            "write_mode": write_mode,
         },
         concurrency=concurrency,
         max_tasks=max_tasks,

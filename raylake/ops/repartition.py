@@ -20,17 +20,15 @@ at the scanned snapshot (`Table.num_buckets_at`).
 
 from __future__ import annotations
 
-import numpy as np
-import pyarrow as pa
-
 from raylake.core.hashing import partition_of
 from raylake.core.table import Table
 from raylake.ops.rewrite import (
     DEFAULT_TARGET_FILE_BYTES,
     RewriteTask,
-    cut_and_write,
+    group_files,
     read_task_inputs,
     run_rewrite_job,
+    task_result,
 )
 
 
@@ -39,35 +37,7 @@ def plan_repartition(
 ) -> list[RewriteTask]:
     """Every live file, grouped by current partition (locality) into
     ≈max_task_bytes task groups. Pure metadata."""
-    from collections import defaultdict
-
-    by_part = defaultdict(list)
-    for e in table.live_entries(snapshot):
-        by_part[e.partition].append(e)
-
-    tasks: list[RewriteTask] = []
-    for p, files in sorted(by_part.items()):
-        group, gbytes = [], 0
-
-        def flush():
-            nonlocal group, gbytes
-            if group:
-                tasks.append(RewriteTask(
-                    task_id=f"r{p:05d}-{len(tasks):04d}",
-                    partition=p,
-                    input_paths=[e.path for e in group],
-                    input_bytes=gbytes,
-                    input_rows=sum(e.rows for e in group),
-                ))
-            group, gbytes = [], 0
-
-        for e in files:
-            if group and gbytes + e.bytes > max_task_bytes:
-                flush()
-            group.append(e)
-            gbytes += e.bytes
-        flush()
-    return tasks
+    return group_files(table.live_entries(snapshot), "r", max_task_bytes)
 
 
 def _repartition_task(table: Table, task: dict, params: dict) -> dict:
@@ -75,19 +45,9 @@ def _repartition_task(table: Table, task: dict, params: dict) -> dict:
     shuffle), write one file set per new bucket. Row order within each
     bucket is preserved (stable mask filter), so existing clustering
     survives the re-bucketing."""
-    new_buckets = params["num_buckets"]
     data = read_task_inputs(table, task)
-    if len(data) == 0:
-        return {"entries": [], "replaced": task["input_paths"], "rows": 0}
-    part = partition_of(data[table.partition_column], new_buckets)
-    bpr = task["input_bytes"] / max(1, task["input_rows"])
-    entries = []
-    for b in np.unique(part):
-        sub = data.filter(pa.array(part == b))
-        entries.extend(cut_and_write(
-            table, sub, int(b), params["target_file_bytes"], bpr))
-    return {"entries": entries, "replaced": task["input_paths"],
-            "rows": len(data)}
+    return task_result(table, task, params, data, partitions=partition_of(
+        data[table.partition_column], params["num_buckets"]))
 
 
 def repartition_table(
@@ -110,15 +70,6 @@ def repartition_table(
                          "time partitions are fixed by the calendar")
     if num_buckets == table.num_buckets:
         return None
-    from raylake.state.ledger import Ledger
-
-    if job_id is not None and Ledger(table.root, job_id).read_meta() is not None:
-        tasks = []  # resume: run_rewrite_job reloads the persisted plan
-    else:
-        tasks = plan_repartition(
-            table, max_task_bytes or target_file_bytes * 4)
-        if not tasks:
-            return None
     spec = dict(table.meta["partition_spec"], num_buckets=int(num_buckets))
     spec_log = table.partition_spec_log + [
         # placeholder — Table.commit stamps since_seq with the ACTUAL commit
@@ -129,12 +80,13 @@ def repartition_table(
     return run_rewrite_job(
         table,
         "repartition",
-        tasks,
+        lambda: (plan_repartition(table, max_task_bytes or target_file_bytes * 4),
+                 {"meta_updates": {"partition_spec": spec,
+                                   "partition_spec_log": spec_log}}),
         _repartition_task,
         job_id=job_id,
         params={"num_buckets": int(num_buckets),
                 "target_file_bytes": target_file_bytes},
         concurrency=concurrency,
         max_tasks=max_tasks,
-        meta_updates={"partition_spec": spec, "partition_spec_log": spec_log},
     )

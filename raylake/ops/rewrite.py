@@ -1,14 +1,24 @@
-"""Shared machinery for partitioned rewrite jobs (compact / zorder / merge).
+"""The frame every partitioned rewrite op runs in: compact, zorder,
+repartition_table, update_where, apply_deletes and merge_into.
 
-A rewrite job is: plan (pure, from manifest metadata) → pack the per-
-partition tasks into two bins per CPU slot → run each bin as one Ray Data
-task → single atomic replace-commit assembled from the checkpoint ledger.
-Tasks are the unit of resume: each completed task's lineage (input files →
-output files) is ledger-recorded before the commit, so re-running the same
-job_id skips finished partitions (SURVEY §4, north_rule "resumable from
-checkpoint"). Bins are the unit of dispatch: every Ray task costs scheduling
-CPU however small its work (≈23 ms on a 1-CPU host), so a job pays that
-twice per slot, not once per planned task (`pack_tasks`).
+A rewrite job is Iceberg's `rewrite_data_files` shape: planner → persisted
+plan → packed bins → ledger → one commit.
+- The planner works from table metadata (merge first stages its source,
+  a purge reads the delete keys): it returns per-partition RewriteTasks, which all ops but merge
+  cut with the one byte-capped file grouper (`group_files`), plus the plan
+  facts the commit needs.
+- `run_rewrite_job` calls the planner only when the job has no persisted
+  plan, and persists the tasks and facts in the job meta. Re-running the
+  same job_id therefore resumes the plan its ledgered results belong to,
+  never a re-plan of an advanced snapshot. An empty plan leaves no job.
+- The tasks are packed into two bins per CPU slot, and each bin runs as
+  one Ray task. Bins are the unit of dispatch: every Ray task costs
+  scheduling CPU however small its work (≈23 ms on a 1-CPU host), so a
+  job pays that twice per slot, not once per planned task (`pack_tasks`).
+- Each finished task ledgers its lineage (input files → the files it
+  wrote, `task_result`) atomically before the commit, so tasks are the
+  unit of resume (SURVEY §4, north_rule "resumable from checkpoint").
+- `commit_from_ledger` assembles one atomic replace-commit from the ledger.
 
 Execution uses Ray Data's TASK pool (a plain function + fn_kwargs), NOT a
 per-job actor pool, deliberately: the per-task state here is one parsed
@@ -27,6 +37,7 @@ import heapq
 import json
 import time
 import uuid
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -36,7 +47,7 @@ import pyarrow as pa
 from raylake.core.hashing import hash32_rows
 from raylake.core.metadata import ManifestEntry
 from raylake.core.table import Table
-from raylake.state.ledger import Ledger
+from raylake.state.ledger import Ledger, written_files
 
 DEFAULT_TARGET_FILE_BYTES = 128 * 1024 * 1024
 
@@ -125,6 +136,40 @@ class RewriteTask:
     extra: dict = field(default_factory=dict)
 
 
+def group_files(entries, prefix: str, max_task_bytes: int | None,
+                min_files: int = 1, order=None) -> list[RewriteTask]:
+    """The tasks of a per-partition bin-packing plan. Each partition's
+    files, in ascending partition order, as listed or in `order(files)`,
+    are cut into consecutive groups of at most `max_task_bytes` (None: no
+    cap; a larger file is a group of its own), and every group of at least
+    `min_files` files becomes one task. A partition left with one group
+    names its task `<prefix><partition>`, else `<prefix><partition>-<i>`."""
+    by_part: dict[int, list] = defaultdict(list)
+    for e in entries:
+        by_part[e.partition].append(e)
+    tasks: list[RewriteTask] = []
+    for p, files in sorted(by_part.items()):
+        groups, gbytes = [[]], 0
+        for e in order(files) if order else files:
+            if (groups[-1] and max_task_bytes is not None
+                    and gbytes + e.bytes > max_task_bytes):
+                groups.append([])
+                gbytes = 0
+            groups[-1].append(e)
+            gbytes += e.bytes
+        groups = [g for g in groups if len(g) >= max(1, min_files)]
+        for i, g in enumerate(groups):
+            tasks.append(RewriteTask(
+                task_id=f"{prefix}{p:05d}" + (f"-{i:04d}" if len(groups) > 1
+                                              else ""),
+                partition=p,
+                input_paths=[e.path for e in g],
+                input_bytes=sum(e.bytes for e in g),
+                input_rows=sum(e.rows for e in g),
+            ))
+    return tasks
+
+
 def read_task_inputs(table: Table, task: dict,
                      snapshot: int | str | None = None,
                      columns: list[str] | None = None) -> pa.Table:
@@ -192,6 +237,40 @@ def cut_and_write(
     return entries
 
 
+def task_result(table: Table, task: dict, params: dict, data: pa.Table, *,
+                replace: bool = True, partitions: np.ndarray | None = None,
+                bytes_per_row: float | None = None, key_hashes=None,
+                **counters) -> dict:
+    """A task's ledger result: `data` (pre-sorted) written by `cut_and_write`
+    as ~`params["target_file_bytes"]` files that replace the task's input
+    files (`replace=False`: that add to them). The rows go to the task's
+    partition or, with `partitions` (one id per row), each to its own, in
+    their order. `bytes_per_row` sizes the files; it defaults to the input
+    files' average, or a third of the rows' in-memory average for a task
+    without input rows."""
+    if bytes_per_row is None:
+        bytes_per_row = (
+            task["input_bytes"] / task["input_rows"] if task["input_rows"]
+            else max(1.0, data.nbytes / max(1, len(data)) / 3))
+    if partitions is None:
+        parts = [(task["partition"], data)]
+    else:
+        parts = [(int(b), data.filter(pa.array(partitions == b)))
+                 for b in np.unique(partitions)]
+    entries = [e for p, rows in parts for e in cut_and_write(
+        table, rows, p, params["target_file_bytes"], bytes_per_row,
+        key_hashes)]
+    return {"entries": entries,
+            "replaced": task["input_paths"] if replace else [],
+            "rows": len(data), **counters}
+
+
+def skipped(**counters) -> dict:
+    """A task's ledger result when it keeps its input files as they are."""
+    return {"skipped": True, "entries": [], "replaced": [], "rows": 0,
+            **counters}
+
+
 def pack_tasks(tasks: list[RewriteTask], n_bins: int) -> list[list[RewriteTask]]:
     """Deal `tasks` into `min(n_bins, len(tasks))` non-empty bins, largest
     `input_bytes` first, each to the currently lightest bin (LPT), and
@@ -257,29 +336,35 @@ def _rewrite_batch_inner(batch, table_root, job_id, task_fn, params):
 def run_rewrite_job(
     table: Table,
     operation: str,
-    tasks: list[RewriteTask],
+    plan,
     task_fn,
     job_id: str | None = None,
     params: dict | None = None,
     concurrency: int | None = None,
     max_tasks: int | None = None,
     meta_updates: dict | None = None,
-    removed_delete_paths: list[str] | None = None,
     branch: str | None = None,
-    summary: dict | None = None,
 ):
-    """Execute tasks as one Ray task per bin; commit once ALL are ledgered.
+    """Plan unless resuming, run the tasks as one Ray task per bin, and
+    commit once ALL are ledgered.
+
+    `plan` is a zero-argument planner returning `(tasks, facts)`, or a task
+    list whose only fact is `meta_updates`. The planner runs only when the
+    job has no persisted plan. Facts are persisted with the tasks, so a
+    resumed job commits the same ones: `summary` (plan facts for the
+    snapshot summary), `removed_delete_paths` (delete files the commit
+    drops) and `meta_updates` (table metadata flipped in the same commit,
+    e.g. the partition spec).
 
     There are two bins per CPU slot: the cluster's CPUs, capped by
     `concurrency` (at most that many concurrent Ray tasks) when given.
 
-    Returns the committed Snapshot, or None if the job is incomplete
-    (`max_tasks` reached / crash) — call again with the same `job_id` to
-    resume — or if every task was a no-op skip. With `branch`, the job is
-    scoped to that ref: planned against its head and committed to it (WAP
-    maintenance — main readers never see the rewrite until fast_forward).
-    `summary` holds plan facts for the snapshot summary; it is persisted
-    with the plan, so a resumed job commits the same ones.
+    Returns the committed Snapshot, or None if the plan is empty, if the job
+    is incomplete (`max_tasks` reached / crash) — call again with the same
+    `job_id` to resume — or if every task was a no-op skip. With `branch`,
+    the job is scoped to that ref: planned against its head and committed
+    to it (WAP maintenance — main readers never see the rewrite until
+    fast_forward).
     """
     import ray
     import ray.data
@@ -288,38 +373,31 @@ def run_rewrite_job(
     ledger = Ledger(table.root, job_id)
     meta = ledger.read_meta()
     if meta is None:
+        tasks, facts = (plan() if callable(plan)
+                        else (plan, {"meta_updates": meta_updates}))
+        if not tasks and not facts.get("removed_delete_paths"):
+            # nothing to run or commit (a purge whose bounds ruled out every
+            # file still drops its delete files): leave no job directory
+            # behind, nor merge's staged source, which lives in it
+            ledger.clear()
+            return None
         meta = {
             "operation": operation,
             "parent_seq": table.resolve_ref(branch),
             "task_ids": [t.task_id for t in tasks],
             "tasks": [asdict(t) for t in tasks],
+            **{k: v for k, v in facts.items() if v},
         }
         if branch is not None:
             meta["branch"] = branch
-        if meta_updates:
-            # persisted so a crash-resumed job applies the same atomic
-            # table-metadata flip (e.g. the partition-spec change)
-            meta["meta_updates"] = meta_updates
-        if removed_delete_paths:
-            meta["removed_delete_paths"] = list(removed_delete_paths)
-        if summary:
-            meta["summary"] = summary
         ledger.write_meta(meta)
-    elif "tasks" in meta:
-        # RESUME: the persisted plan is authoritative. Re-planning from the
-        # CURRENT snapshot is unsafe — if a commit landed between crash and
-        # resume, positional task_ids (p{part}-{index}) collide with
-        # ledgered results of DIFFERENT file groups, and the assembled
-        # commit can double-count rows (see ADVICE r01). Callers may pass a
-        # freshly-planned list; it is ignored in favor of the plan the
-        # ledgered results actually belong to.
-        tasks = [RewriteTask(**t) for t in meta["tasks"]]
-    elif meta["parent_seq"] != table.current_seq:
-        raise RuntimeError(
-            f"job {job_id}: cannot resume a pre-plan-persistence job after "
-            f"the table advanced (planned at seq {meta['parent_seq']}, now "
-            f"{table.current_seq}); start a fresh job_id"
-        )
+    # The persisted plan is authoritative. Re-planning from the CURRENT
+    # snapshot on resume is unsafe — if a commit landed between crash and
+    # resume, positional task_ids (`group_files` numbers each partition's
+    # groups) collide with ledgered results of DIFFERENT file groups, and the assembled commit can
+    # double-count rows (see ADVICE r01). A task list passed on resume is
+    # ignored in favor of the plan the ledgered results actually belong to.
+    tasks = [RewriteTask(**t) for t in meta["tasks"]]
 
     done = ledger.completed()
     todo = [t for t in tasks if t.task_id not in done]
@@ -372,11 +450,10 @@ def commit_from_ledger(table: Table, operation: str, meta: dict,
     delete files (`deletes`) next to their new data files, and the commit
     validates the files they read (`Table.commit`'s `read_paths`)."""
     job_id = ledger.job_id
-    added = [
-        ManifestEntry.from_json(e) for rec in done.values() for e in rec["entries"]
-    ]
-    replaced = {p for rec in done.values() for p in rec["replaced"]}
-    added_deletes = [d for rec in done.values() for d in rec.get("deletes", [])]
+    recs = list(done.values())
+    added = [ManifestEntry.from_json(e) for e in written_files(recs, "entries")]
+    replaced = {p for rec in recs for p in rec["replaced"]}
+    added_deletes = written_files(recs, "deletes")
     if (not added and not replaced and not added_deletes
             and not meta.get("meta_updates")
             and not meta.get("removed_delete_paths")):
@@ -413,8 +490,7 @@ def commit_from_ledger(table: Table, operation: str, meta: dict,
         # keep them reachable. PRESENCE of the key (even with an empty
         # list) marks the commit cdc-complete — a cdc run whose tasks all
         # had zero logical changes must not read as feed-breaking.
-        summary["cdc_files"] = [
-            f for r in done.values() for f in r.get("cdc_files", [])]
+        summary["cdc_files"] = written_files(recs, "cdc_files")
     snap = table.commit(
         operation,
         added,

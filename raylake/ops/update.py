@@ -32,9 +32,11 @@ from raylake.core.table import Table
 from raylake.ops.rewrite import (
     DEFAULT_TARGET_FILE_BYTES,
     RewriteTask,
-    cut_and_write,
+    group_files,
     read_task_inputs,
     run_rewrite_job,
+    skipped,
+    task_result,
 )
 
 
@@ -44,34 +46,8 @@ def plan_update(table: Table, max_task_bytes: int,
     """Candidate files (manifest-pruned when `prune` col-ranges are given),
     binned per partition into ≤max_task_bytes tasks."""
     snapshot = table.resolve_ref(branch) if branch else None
-    ents = (table.prune(snapshot=snapshot, **dict(prune)) if prune
-            else table.live_entries(snapshot))
-    by_part: dict[int, list] = {}
-    for e in ents:
-        by_part.setdefault(e.partition, []).append(e)
-    tasks: list[RewriteTask] = []
-    for p, files in sorted(by_part.items()):
-        group, gbytes = [], 0
-
-        def flush():
-            nonlocal group, gbytes
-            if group:
-                tasks.append(RewriteTask(
-                    task_id=f"u{p:05d}-{len(tasks):04d}",
-                    partition=p,
-                    input_paths=[e.path for e in group],
-                    input_bytes=gbytes,
-                    input_rows=sum(e.rows for e in group),
-                ))
-            group, gbytes = [], 0
-
-        for e in files:
-            if group and gbytes + e.bytes > max_task_bytes:
-                flush()
-            group.append(e)
-            gbytes += e.bytes
-        flush()
-    return tasks
+    return group_files(table.prune(snapshot=snapshot, **dict(prune or {})),
+                       "u", max_task_bytes)
 
 
 def _update_task(table: Table, task: dict, params: dict) -> dict:
@@ -87,7 +63,7 @@ def _update_task(table: Table, task: dict, params: dict) -> dict:
     mask = pc.fill_null(pc.cast(pred, pa.bool_()), False)
     n_hits = pc.sum(pc.cast(mask, pa.int64())).as_py() or 0
     if n_hits == 0 and len(data) == task["input_rows"]:
-        return {"skipped": True, "entries": [], "replaced": [], "rows": 0}
+        return skipped()
     cols = {}
     for name, expr in params["set_exprs"].items():
         new = expr(data) if callable(expr) else pa.array(
@@ -98,11 +74,7 @@ def _update_task(table: Table, task: dict, params: dict) -> dict:
                                 data[name])
     updated = pa.table(
         {f.name: cols.get(f.name, data[f.name]) for f in data.schema})
-    bpr = task["input_bytes"] / max(1, task["input_rows"])
-    entries = cut_and_write(table, updated, task["partition"],
-                            params["target_file_bytes"], bpr)
-    out = {"entries": entries, "replaced": task["input_paths"],
-           "rows": len(updated)}
+    out = task_result(table, task, params, updated)
     if params.get("cdc"):
         # change-data-feed capture: the task holds both row versions —
         # record them so Table.changes can reconstruct this commit. A task
@@ -153,18 +125,10 @@ def update_where(
     unknown = sorted(set(set_exprs) - {f.name for f in table.schema})
     if unknown:
         raise ValueError(f"no such column(s): {unknown}")
-    from raylake.state.ledger import Ledger
-
-    if job_id is not None and Ledger(table.root, job_id).read_meta() is not None:
-        tasks = []  # resume from the persisted plan
-    else:
-        tasks = plan_update(table, target_file_bytes * 4, prune, branch)
-        if not tasks:
-            return None
     return run_rewrite_job(
         table,
         "update",
-        tasks,
+        lambda: (plan_update(table, target_file_bytes * 4, prune, branch), {}),
         _update_task,
         job_id=job_id,
         params={

@@ -23,7 +23,7 @@ exchange of the entire table for no extra pruning power within this layout.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter
 
 import numpy as np
 import pyarrow as pa
@@ -33,9 +33,10 @@ from raylake.core.table import Table
 from raylake.ops.rewrite import (
     DEFAULT_TARGET_FILE_BYTES,
     RewriteTask,
-    cut_and_write,
+    group_files,
     read_task_inputs,
     run_rewrite_job,
+    task_result,
 )
 
 
@@ -72,41 +73,18 @@ def plan_zorder(
     next zorder pass over the merged groups restores full tightness)."""
     hash_col = f"{cluster_by[0]}_h32" if cluster_by else "conv_h32"
     raw_col = cluster_by[0] if cluster_by else "conv_id"
-    by_part: dict[int, list] = defaultdict(list)
-    for e in table.live_entries(snapshot):
-        if partitions is None or e.partition in partitions:
-            by_part[e.partition].append(e)
-    tasks = []
-    for p, files in sorted(by_part.items()):
-        if len(files) < min_files:
-            continue
-        total = sum(e.bytes for e in files)
-        if max_task_bytes is None or total <= max_task_bytes:
-            groups = [files]
-        else:
-            files = sorted(files, key=lambda e: _zstat_key(
-                e, hash_col, raw_col))
-            groups, group, gbytes = [], [], 0
-            for e in files:
-                if group and gbytes + e.bytes > max_task_bytes:
-                    groups.append(group)
-                    group, gbytes = [], 0
-                group.append(e)
-                gbytes += e.bytes
-            if group:
-                groups.append(group)
-        for i, g in enumerate(groups):
-            tasks.append(
-                RewriteTask(
-                    task_id=(f"z{p:05d}" if len(groups) == 1
-                             else f"z{p:05d}-{i:04d}"),
-                    partition=p,
-                    input_paths=[e.path for e in g],
-                    input_bytes=sum(e.bytes for e in g),
-                    input_rows=sum(e.rows for e in g),
-                )
-            )
-    return tasks
+    files = table.prune(partitions=partitions, snapshot=snapshot)
+    n_files = Counter(e.partition for e in files)
+
+    def order(part_files):
+        if (max_task_bytes is None
+                or sum(e.bytes for e in part_files) <= max_task_bytes):
+            return part_files
+        return sorted(part_files,
+                      key=lambda e: _zstat_key(e, hash_col, raw_col))
+
+    return group_files([e for e in files if n_files[e.partition] >= min_files],
+                       "z", max_task_bytes, order=order)
 
 
 def _dim_u32(data: pa.Table, col: str) -> tuple[np.ndarray, bool]:
@@ -139,7 +117,7 @@ def _dim_u32(data: pa.Table, col: str) -> tuple[np.ndarray, bool]:
 def _zorder_task(table: Table, task: dict, params: dict) -> dict:
     data = read_task_inputs(table, task)
     if len(data) == 0:
-        return {"entries": [], "replaced": task["input_paths"], "rows": 0}
+        return task_result(table, task, params, data)
     cluster_by = params.get("cluster_by")
     if cluster_by:
         (c0, c1) = cluster_by
@@ -163,11 +141,7 @@ def _zorder_task(table: Table, task: dict, params: dict) -> dict:
     # records it per file from the keys already hashed for the curve
     hash_dims = {name: (c, keys[order])
                  for name, (c, keys) in hash_dims.items()}
-    bpr = task["input_bytes"] / max(1, task["input_rows"])
-    entries = cut_and_write(table, data, task["partition"],
-                            params["target_file_bytes"], bpr,
-                            key_hashes=hash_dims)
-    return {"entries": entries, "replaced": task["input_paths"], "rows": len(data)}
+    return task_result(table, task, params, data, key_hashes=hash_dims)
 
 
 def zorder(
@@ -195,21 +169,13 @@ def zorder(
         missing = [c for c in cluster_by if c not in have]
         if missing:
             raise ValueError(f"no such column(s): {missing}")
-    from raylake.state.ledger import Ledger
-
-    if job_id is not None and Ledger(table.root, job_id).read_meta() is not None:
-        tasks = []  # resume path: run_rewrite_job reloads the persisted plan
-    else:
-        # default split threshold: a skewed bucket that outgrew the
-        # partition-spec sizing must not become one oversized sort task
-        plan_kwargs.setdefault("max_task_bytes", target_file_bytes * 8)
-        tasks = plan_zorder(table, cluster_by=cluster_by, **plan_kwargs)
-        if not tasks:
-            return None
+    # default split threshold: a skewed bucket that outgrew the
+    # partition-spec sizing must not become one oversized sort task
+    plan_kwargs.setdefault("max_task_bytes", target_file_bytes * 8)
     return run_rewrite_job(
         table,
         "zorder",
-        tasks,
+        lambda: (plan_zorder(table, cluster_by=cluster_by, **plan_kwargs), {}),
         _zorder_task,
         job_id=job_id,
         params={"target_file_bytes": target_file_bytes, "curve": curve,

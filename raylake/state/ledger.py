@@ -22,6 +22,20 @@ import time
 from raylake.core.metadata import atomic_write_json, read_json
 
 
+#: the lists in a task's ledger record of the files the task wrote, each
+#: item a dict with the file's "path": data files (manifest entries),
+#: merge-on-read equality-delete files and change-feed files. Until the
+#: job commits, only the ledger reaches them.
+WRITTEN_FILES = ("entries", "deletes", "cdc_files")
+
+
+def written_files(records, *kinds: str) -> list[dict]:
+    """The items of the `kinds` lists (default: all of WRITTEN_FILES)
+    across ledger records, in record order."""
+    return [f for rec in records for k in kinds or WRITTEN_FILES
+            for f in rec.get(k, [])]
+
+
 class Ledger:
     def __init__(self, table_root: str, job_id: str):
         self.job_id = job_id
