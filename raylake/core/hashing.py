@@ -28,6 +28,12 @@ def stable_hash64(values) -> np.ndarray:
     return pd.util.hash_array(arr, categorize=True).astype(np.uint64)
 
 
+def is_string_type(t: pa.DataType) -> bool:
+    """True for the string column types hash32 bounds (`<col>_h32`) and
+    the curve's hash dimension apply to."""
+    return pa.types.is_string(t) or pa.types.is_large_string(t)
+
+
 def hash32_rows(col: pa.Array | pa.ChunkedArray) -> np.ndarray:
     """Per-row `stable_hash64 >> 32` of a string column, each distinct
     value hashed once: every chunk is dictionary-encoded, its dictionary

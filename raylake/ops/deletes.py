@@ -16,6 +16,14 @@ judge it exactly:
   not hold exactly, a file without key bounds, an incomparable value) its
   first key column is tested against the file's min/max stats, and a null
   key or a file without stats cannot be excluded.
+Both tests are joined by a hash-space test wherever it can judge: a file
+whose `<col>_h32` bound (zorder's `conv_h32` for conv_id) spans the
+`hash32` of none of the delete file's values of that string key column
+cannot hold one of its keys. Z-ordered files span nearly every key in
+the composite and min/max bounds, but only a narrow slice of hash space.
+The test covers the table's partition column and identifier fields, the
+string columns no rename or drop can re-point; a null key (hash bounds
+skip null rows) or a file without hash bounds cannot be excluded by it.
 Execute: rewrite tasks read their files through `read_task_inputs`
 (`Table.live_reader`, which applies the deletes) and write the filtered
 rows back; a task whose file contained no matching key skips its rewrite.
@@ -31,9 +39,11 @@ from __future__ import annotations
 
 import bisect
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from raylake.core.hashing import hash32_rows, is_string_type
 from raylake.core.table import Table
 from raylake.ops.rewrite import (
     DEFAULT_TARGET_FILE_BYTES,
@@ -64,8 +74,7 @@ def _composite_keys(keys: pa.Table, key_cols: list[str],
         kt = col.type
         if not (kt == ft
                 or (pa.types.is_integer(kt) and pa.types.is_integer(ft))
-                or (pa.types.is_string(kt) or pa.types.is_large_string(kt))
-                and (pa.types.is_string(ft) or pa.types.is_large_string(ft))):
+                or is_string_type(kt) and is_string_type(ft)):
             return None
         if col.null_count or (pa.types.is_floating(kt)
                               and pc.any(pc.is_nan(col)).as_py()):
@@ -79,6 +88,25 @@ def _composite_keys(keys: pa.Table, key_cols: list[str],
                 return None
         cols.append(col.to_pylist())
     return sorted(set(zip(*cols)))
+
+
+def _hash_keys(keys: pa.Table, key_cols: list[str],
+               table: Table) -> list[tuple[str, np.ndarray]]:
+    """(bound name, sorted distinct hash32 of the column's keys) for each
+    key column the data files' hash bounds can judge: a string partition
+    column or identifier field without null keys."""
+    hashable = {table.partition_column, *table.identifier_fields}
+    names = table.schema.names
+    out = []
+    for c in key_cols:
+        if (c not in hashable or c not in names or keys[c].null_count
+                or not is_string_type(keys[c].type)
+                or not is_string_type(table.schema.field(c).type)):
+            continue
+        hs = np.unique(hash32_rows(keys[c]))
+        out += [(f"{c}_h32", hs)] + ([("conv_h32", hs)]
+                                     if c == "conv_id" else [])
+    return out
 
 
 def _valid_bound(b) -> bool:
@@ -102,14 +130,21 @@ def plan_apply_deletes(
     # when they cannot judge it), and its sorted first-key values for the
     # first-key min/max fallback — null keys can't be excluded by min/max
     # stats → (has_null, sorted)
-    composite, first_keys = [], []
+    composite, first_keys, hashed = [], [], []
     for _, key_cols, keys in loaded:
         composite.append(_composite_keys(keys, key_cols, table))
+        hashed.append(_hash_keys(keys, key_cols, table))
         vals = pc.unique(keys[key_cols[0]]).to_pylist()
         nonnull = [v for v in vals if v is not None]
         first_keys.append((len(nonnull) < len(vals), sorted(nonnull)))
 
     def may_hold(e, i) -> bool:
+        for name, hs in hashed[i]:
+            b = e.stats.get(name)
+            if _valid_bound(b):
+                j = np.searchsorted(hs, b[0])
+                if j == len(hs) or hs[j] > b[1]:
+                    return False
         tuples = composite[i]
         lo, hi = e.stats.get("__key_lo"), e.stats.get("__key_hi")
         if tuples is not None and _valid_bound(lo) and _valid_bound(hi):

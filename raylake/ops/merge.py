@@ -34,8 +34,12 @@ manifest-pruned co-partitioning):
 4. **Execute**: task-pool rewrite tasks (raylake/ops/rewrite.py) read their
    file group + their slice of the staged source, combine last-writer-wins in
    Arrow, and skip the rewrite entirely when the result is bit-identical
-   (null-safe change detection, MG4). One atomic replace-commit; resumable
-   from the per-task ledger with the plan persisted in the job metadata.
+   (null-safe change detection, MG4). A copy-on-write upsert task whose
+   files zorder clustered (the plan marks it when one carries the
+   `conv_h32` bound) writes its rows in zorder's Morton order, so the merge
+   keeps the layout lookups prune on; other tasks keep their input order.
+   One atomic replace-commit; resumable from the per-task ledger with the
+   plan persisted in the job metadata.
 
    **Merge-on-read**: an upsert or delete whose planned tasks read more
    than `MOR_MIN_AMPLIFICATION` (64) times the staged source's bytes
@@ -79,6 +83,7 @@ from raylake.ops.rewrite import (
     skipped,
     task_result,
 )
+from raylake.ops.zorder import curve_order
 from raylake.state.ledger import Ledger
 
 def table_keys(table: Table) -> tuple[str, str | None]:
@@ -277,6 +282,12 @@ def _plan_merge_tasks(
             .reset_index()
         )
 
+    # A task whose files zorder clustered (they carry its `conv_h32`
+    # bounds) writes its rows in zorder's Morton order, while the table
+    # still has zorder's default keys. Decided here, so a resumed job
+    # writes the layout it planned.
+    curved = ("conv_id" in table.schema.names and "ts" in table.schema.names
+              and pa.types.is_timestamp(table.schema.field("ts").type))
     tasks: list[RewriteTask] = []
     bucket_clusters: dict[int, list[dict]] = {}
     for bucket, grp in key_stats.groupby("bucket"):
@@ -372,7 +383,10 @@ def _plan_merge_tasks(
                     input_paths=[e.path for e in cfiles],
                     input_bytes=sum(e.bytes for e in cfiles),
                     input_rows=sum(e.rows for e in cfiles),
-                    extra={"bucket": bucket, "lo": lo, "hi": hi},
+                    extra={"bucket": bucket, "lo": lo, "hi": hi,
+                           "curve": "z" if curved and any(
+                               "conv_h32" in e.stats for e in cfiles)
+                           else None},
                 )
             )
     return tasks
@@ -503,9 +517,15 @@ def _merge_task(table: Table, task: dict, params: dict) -> dict:
     gather over wide `text` rows — memory-bandwidth death at high
     parallelism) we match source keys exactly against target rows
     (`KeySet`, one hash probe per key column), drop the matched targets,
-    and append the winning source rows. One filter pass + one write;
-    unchanged rows are never re-ordered. Output files carry manifest stats
-    as usual; scan-order guarantees come from the explicit verification
+    and add the winning source rows.
+
+    Row order: an upsert task the plan marked curve-ordered (its files
+    carry zorder's `conv_h32` bounds) writes `keep ∪ src` in zorder's
+    Morton order, one argsort and one take, and records `conv_h32` again:
+    its files keep zorder's tight hash spans, so a lookup after the merge
+    reads as few files as after zorder, and the next merge sees the mark.
+    Any other task writes the kept rows in input order and the source rows
+    after them. Scan-order guarantees come from the explicit verification
     sort, not file order. A merge-on-read plan runs `_merge_on_read`
     instead, which writes no target row back."""
     k0, k1 = table_keys(table)
@@ -525,6 +545,7 @@ def _merge_task(table: Table, task: dict, params: dict) -> dict:
 
     matched = KeySet(src.select(keys)).contains(tgt)
 
+    key_hashes = None
     if params["mode"] == "delete":
         if not matched.any():
             return skipped(**counters)
@@ -538,12 +559,21 @@ def _merge_task(table: Table, task: dict, params: dict) -> dict:
             pre = tgt.filter(pa.array(matched))
             if _is_noop(pre, src, keys):
                 return skipped(**counters)
-        keep = tgt.filter(pa.array(~matched)) if matched.any() else tgt
-        result = pa.concat_tables([keep, src])
+        if task["extra"].get("curve"):
+            # the kept target rows come straight from `tgt`, with no
+            # filtered copy of them first: one take writes every row
+            both = pa.concat_tables([tgt, src])
+            order, key_hashes = curve_order(both, rows=np.flatnonzero(
+                np.concatenate([~matched, np.ones(len(src), bool)])))
+            result = both.take(pa.array(order))
+        else:
+            keep = tgt.filter(pa.array(~matched)) if matched.any() else tgt
+            result = pa.concat_tables([keep, src])
         if params.get("cdc"):
             counters["cdc_files"] = _upsert_cdc(table, pre, src, keys)
 
-    return task_result(table, task, params, result, **counters)
+    return task_result(table, task, params, result, key_hashes=key_hashes,
+                       **counters)
 
 
 def _merge_on_read(table: Table, task: dict, params: dict,

@@ -44,9 +44,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from raylake.core.hashing import hash32_rows
+from raylake.core.hashing import hash32_rows, is_string_type
 from raylake.core.metadata import ManifestEntry
-from raylake.core.table import Table
+from raylake.core.table import CommitConflictError, Table
 from raylake.state.ledger import Ledger, written_files
 
 DEFAULT_TARGET_FILE_BYTES = 128 * 1024 * 1024
@@ -217,8 +217,7 @@ def cut_and_write(
     key_col = table.partition_column or "conv_id"
     if (key_col in data.column_names
             and key_col not in {c for c, _ in dims.values()}):
-        typ = data.schema.field(key_col).type
-        if pa.types.is_string(typ) or pa.types.is_large_string(typ):
+        if is_string_type(data.schema.field(key_col).type):
             dims[f"{key_col}_h32"] = (key_col, hash32_rows(data[key_col]))
     valid = {c: (data[c].is_valid().to_numpy(zero_copy_only=False)
                  if data[c].null_count else None)
@@ -444,7 +443,8 @@ def commit_from_ledger(table: Table, operation: str, meta: dict,
                        done: dict, ledger: Ledger):
     """Assemble the single atomic commit from the completed-task ledger.
     Raises CommitConflictError when a concurrent commit invalidated the
-    plan's replaced files — callers retry via ops.maintain.run_with_retry.
+    plan's replaced files, after dropping the job's ledger — callers retry
+    with a fresh plan via ops.maintain.run_with_retry.
 
     Tasks of a merge-on-read MERGE replace nothing: they ledger equality
     delete files (`deletes`) next to their new data files, and the commit
@@ -491,17 +491,24 @@ def commit_from_ledger(table: Table, operation: str, meta: dict,
         # list) marks the commit cdc-complete — a cdc run whose tasks all
         # had zero logical changes must not read as feed-breaking.
         summary["cdc_files"] = written_files(recs, "cdc_files")
-    snap = table.commit(
-        operation,
-        added,
-        replaced_paths=replaced,
-        expected_parent=meta["parent_seq"],
-        summary=summary,
-        meta_updates=meta.get("meta_updates"),
-        removed_delete_paths=frozenset(meta.get("removed_delete_paths", [])),
-        branch=meta.get("branch"),
-        added_deletes=added_deletes,
-        read_paths=read_paths,
-    )
+    try:
+        snap = table.commit(
+            operation,
+            added,
+            replaced_paths=replaced,
+            expected_parent=meta["parent_seq"],
+            summary=summary,
+            meta_updates=meta.get("meta_updates"),
+            removed_delete_paths=frozenset(
+                meta.get("removed_delete_paths", [])),
+            branch=meta.get("branch"),
+            added_deletes=added_deletes,
+            read_paths=read_paths,
+        )
+    except CommitConflictError:
+        # the plan can never commit now: drop the job, so its files become
+        # orphans that expire_snapshots removes, not an in-flight job's
+        ledger.clear()
+        raise
     ledger.clear()
     return snap

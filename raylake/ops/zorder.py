@@ -11,9 +11,13 @@ together, each output file gets a tight `ts` min/max and a tight span of
 conv_id hashes. `cut_and_write` records that span as the file's hash-space
 bounds (`conv_h32`, or `<col>_h32` under `cluster_by`) from the hashes the
 curve already computed; point lookups prune on them (`Table.prune_point`),
-time-range scans on the `ts` stats (proved in tests). Later merges,
-compactions and purges write through the same function, which records the
-same kind of bounds on their outputs, so lookups keep pruning after them.
+time-range scans on the `ts` stats (proved in tests). `curve_order` is the
+one place the curve is computed: a copy-on-write MERGE into files that
+carry `conv_h32` writes its rows in the same Morton order and records
+`conv_h32` again (ops/merge.py), so the layout outlives the merge.
+Compactions and purges keep their input order and record `<col>_h32`
+bounds through the same `cut_and_write`, so lookups keep pruning after
+them too.
 
 Per-partition processing means NO global shuffle: at 10^12-turn scale each
 partition (1–4 GB by partition-spec sizing) is one actor task; Ray schedules
@@ -28,7 +32,13 @@ from collections import Counter
 import numpy as np
 import pyarrow as pa
 
-from raylake.core.hashing import morton_interleave, stable_hash64
+from raylake.core.hashing import (
+    hash32_rows,
+    hilbert_key,
+    is_string_type,
+    morton_interleave,
+    stable_hash64,
+)
 from raylake.core.table import Table
 from raylake.ops.rewrite import (
     DEFAULT_TARGET_FILE_BYTES,
@@ -38,6 +48,10 @@ from raylake.ops.rewrite import (
     run_rewrite_job,
     task_result,
 )
+
+_MASK32 = np.uint64(0xFFFFFFFF)
+#: `stable_hash64(...) >> 32` of a null string: the curve key of a null row
+_NULL_H32 = stable_hash64([None])[0] >> np.uint64(32)
 
 
 def _zstat_key(entry, hash_col: str, raw_col: str):
@@ -87,6 +101,15 @@ def plan_zorder(
                        "z", max_task_bytes, order=order)
 
 
+def _hash_dim(col: pa.ChunkedArray) -> np.ndarray:
+    """Per-row `stable_hash64 >> 32` of a string column (`hash32_rows`,
+    each distinct value hashed once), null rows included."""
+    keys = hash32_rows(col)
+    if col.null_count:
+        keys[~col.is_valid().to_numpy(zero_copy_only=False)] = _NULL_H32
+    return keys
+
+
 def _dim_u32(data: pa.Table, col: str) -> tuple[np.ndarray, bool]:
     """Map one cluster column to a uint32 key dimension.
 
@@ -98,8 +121,8 @@ def _dim_u32(data: pa.Table, col: str) -> tuple[np.ndarray, bool]:
     relative order inside the task; cross-file range pruning comes from
     the raw column min/max stats the write path records anyway)."""
     t = data.schema.field(col).type
-    if pa.types.is_string(t) or pa.types.is_large_string(t):
-        return (stable_hash64(data[col]) >> np.uint64(32)).astype(np.uint64), True
+    if is_string_type(t):
+        return _hash_dim(data[col]), True
     if pa.types.is_timestamp(t):
         per_s = {"s": 1, "ms": 1_000, "us": 1_000_000, "ns": 1_000_000_000}[t.unit]
         secs = data[col].cast(pa.int64()).to_numpy(zero_copy_only=False) // per_s
@@ -114,34 +137,50 @@ def _dim_u32(data: pa.Table, col: str) -> tuple[np.ndarray, bool]:
     return (inv.astype(np.uint64) * np.uint64(step)), False
 
 
-def _zorder_task(table: Table, task: dict, params: dict) -> dict:
-    data = read_task_inputs(table, task)
-    if len(data) == 0:
-        return task_result(table, task, params, data)
-    cluster_by = params.get("cluster_by")
+def curve_order(
+    data: pa.Table,
+    cluster_by: tuple[str, str] | None = None,
+    curve: str = "z",
+    rows: np.ndarray | None = None,
+) -> tuple[np.ndarray, dict[str, tuple[str, np.ndarray]]]:
+    """The positions of `data`'s rows (all, or those listed in `rows`)
+    along the clustering curve, and the `key_hashes` for `cut_and_write`
+    in that order: a contiguous range of the curve has a tight hash32
+    span, which each output file records as its hash-space bounds.
+    Default keys are (hash32(conv_id), ts seconds) with bounds
+    `conv_h32`; `cluster_by=(a, b)` keys each column by `_dim_u32` and
+    bounds every string one as `<col>_h32`. Ties keep their input
+    order."""
     if cluster_by:
         (c0, c1) = cluster_by
         k0, h0 = _dim_u32(data, c0)
         k1, h1 = _dim_u32(data, c1)
         hash_dims = {f"{c}_h32": (c, k) for c, k, h in
                      ((c0, k0, h0), (c1, k1, h1)) if h}
-    else:  # default transcript keys (bit-identical to the original path)
-        k0 = (stable_hash64(data["conv_id"]) >> np.uint64(32)).astype(np.uint64)
+    else:
+        k0 = _hash_dim(data["conv_id"])
         k1 = (data["ts"].cast(pa.int64()).to_numpy() // 1_000_000).astype(np.uint64)
         hash_dims = {"conv_h32": ("conv_id", k0)}
-    if params.get("curve") == "hilbert":
-        from raylake.core.hashing import hilbert_key
-
-        z = hilbert_key(k0, k1 & np.uint64(0xFFFFFFFF))
+    if curve == "hilbert":
+        z = hilbert_key(k0, k1 & _MASK32)
     else:
-        z = morton_interleave(k0, k1 & np.uint64(0xFFFFFFFF))
-    order = np.argsort(z, kind="stable")
-    data = data.take(pa.array(order))
-    # a contiguous Morton range has a tight hash32 span: cut_and_write
-    # records it per file from the keys already hashed for the curve
-    hash_dims = {name: (c, keys[order])
-                 for name, (c, keys) in hash_dims.items()}
-    return task_result(table, task, params, data, key_hashes=hash_dims)
+        z = morton_interleave(k0, k1 & _MASK32)
+    if rows is None:
+        order = np.argsort(z, kind="stable")
+    else:
+        order = rows[np.argsort(z[rows], kind="stable")]
+    return order, {name: (c, keys[order])
+                   for name, (c, keys) in hash_dims.items()}
+
+
+def _zorder_task(table: Table, task: dict, params: dict) -> dict:
+    data = read_task_inputs(table, task)
+    if len(data) == 0:
+        return task_result(table, task, params, data)
+    order, key_hashes = curve_order(data, params.get("cluster_by"),
+                                    params.get("curve", "z"))
+    return task_result(table, task, params, data.take(pa.array(order)),
+                       key_hashes=key_hashes)
 
 
 def zorder(

@@ -11,6 +11,10 @@ Two clustered pairs:
 - (conv_id, ts) on the transcript fixture (the default keys);
 - (user_id, ts) on an events-derived table via generic cluster_by.
 
+The transcript pair is measured again after a copy-on-write MERGE of 5%
+of its turns (new text), on the same lookups: the "zorder → merge" rows
+show whether the merge kept the layout the lookups prune on.
+
 Run: python scripts/curve_pruning_evidence.py  (~2 min, needs /dev/shm)
 """
 import json
@@ -43,8 +47,22 @@ def measure(table, keys, ts_windows, key_col):
     }
 
 
+def merge_share(table, full, share, rng, target_file_bytes):
+    """MERGE new text into `share` of the turns of `full`; returns the
+    write mode the merge chose."""
+    from raylake.ops import merge_into
+
+    src = full.take(pa.array(np.sort(rng.choice(
+        len(full), int(len(full) * share), replace=False))))
+    src = src.set_column(src.schema.get_field_index("text"), "text",
+                         pc.binary_join_element_wise("upd-", src["text"], ""))
+    snap = merge_into(table, src, target_file_bytes=target_file_bytes)
+    table.refresh()
+    return snap.summary["write_mode"]
+
+
 def bench_pair(pair_name, build_fn, key_col, cluster_by,
-               target_file_bytes=256 * 1024):
+               target_file_bytes=256 * 1024, merge=None):
     from raylake.ops import zorder
 
     out = {}
@@ -55,7 +73,9 @@ def bench_pair(pair_name, build_fn, key_col, cluster_by,
         zorder(t, target_file_bytes=target_file_bytes, curve=curve,
                cluster_by=cluster_by, concurrency=8)
         t.refresh()
-        full = t.scan_arrow()
+        # sorted, so the keys, windows and merge source drawn from it are
+        # the same at every commit, whatever order Ray wrote the files in
+        full = t.scan_arrow(sort=True)
         rng = np.random.default_rng(17)
         keyvals = full[key_col].to_pylist()
         keys = [keyvals[i] for i in rng.choice(len(keyvals), 16,
@@ -67,6 +87,10 @@ def bench_pair(pair_name, build_fn, key_col, cluster_by,
             lo = int(ts[i]) // day * day
             windows.append((lo, lo + day))
         out[curve] = measure(t, keys, windows, key_col)
+        if merge:
+            mode = merge_share(t, full, merge, rng, target_file_bytes)
+            out[f"{curve} -> merge {merge:.0%} ({mode})"] = measure(
+                t, keys, windows, key_col)
     return out
 
 
@@ -116,7 +140,7 @@ def main():
             logging_level="ERROR")
     results = {
         "transcripts(conv_id,ts)": bench_pair(
-            "tx", build_transcripts, "conv_id", None),
+            "tx", build_transcripts, "conv_id", None, merge=0.05),
         "events(user_id,ts)": bench_pair(
             "ev", build_events, "user_id", ("user_id", "ts"),
             target_file_bytes=32 * 1024),

@@ -30,6 +30,7 @@ from raylake.fixtures.transcripts import BASE_TS_US
 from raylake.ops import apply_deletes, merge_into, zorder
 from raylake.ops.deletes import plan_apply_deletes
 from raylake.ops.rewrite import cut_and_write
+from raylake.state.ledger import Ledger
 
 KEYS = ["conv_id", "turn_idx"]
 
@@ -112,6 +113,18 @@ def _keys(conv, turn, turn_type=pa.int32()) -> pa.Table:
                      "turn_idx": pa.array(turn, turn_type)})
 
 
+def _zordered(tmp_path, name: str = "t") -> tuple[Table, list[str]]:
+    """120 conversations of 20 turns whose ids have no lexicographic
+    locality, in two buckets, z-ordered into ≈12 KB files: only the
+    hash-space bounds prune a lookup."""
+    rng = np.random.default_rng(5)
+    convs = [f"{x:016x}" for x in rng.integers(0, 2**62, 120)]
+    t = _table(str(tmp_path / name), _rows(convs, 20, seed=1),
+               rows_per_file=128)
+    zorder(t, target_file_bytes=12 * 1024)
+    return t.refresh(), convs
+
+
 # ---------------------------------------------------------- lookups (h32)
 
 
@@ -120,12 +133,8 @@ def test_lookup_prunes_after_zorder_then_merge(tmp_path, ray_session,
     """Conversation ids with no lexicographic locality: after zorder, only
     the hash-space bounds prune a lookup. A copy-on-write merge that
     rewrites every file must keep them."""
-    rng = np.random.default_rng(5)
-    convs = [f"{x:016x}" for x in rng.integers(0, 2**62, 120)]
-    data = _rows(convs, 20, seed=1)
-    t = _table(str(tmp_path / "t"), data, rows_per_file=128)
-    zorder(t, target_file_bytes=12 * 1024)
-    t.refresh()
+    t, convs = _zordered(tmp_path)
+    zordered = {e.path for e in t.live_entries()}
     pre = t.scan_arrow(sort=True)
     # one changed turn per conversation touches every z-ordered file
     src = pre.filter(pc.equal(pre["turn_idx"], 3))
@@ -136,7 +145,7 @@ def test_lookup_prunes_after_zorder_then_merge(tmp_path, ray_session,
     t.refresh()
     assert snap.summary["write_mode"] == "copy-on-write"
     ents = t.live_entries()
-    assert not any("conv_h32" in e.stats for e in ents)  # all rewritten
+    assert not zordered & {e.path for e in ents}  # all rewritten
     full = t.scan_arrow(sort=True)
     for c in convs:
         p = int(partition_of([c], 2)[0])
@@ -148,7 +157,8 @@ def test_lookup_prunes_after_zorder_then_merge(tmp_path, ray_session,
         got = got.filter(pc.equal(got["conv_id"], c)).sort_by(
             [(k, "ascending") for k in KEYS])
         assert got.equals(full.filter(pc.equal(full["conv_id"], c)))
-    assert all("conv_id_h32" in e.stats for e in ents)
+    assert all("conv_h32" in e.stats or "conv_id_h32" in e.stats
+               for e in ents)
 
 
 @settings(max_examples=60, deadline=None,
@@ -319,3 +329,137 @@ def test_purge_legacy_files_without_key_bounds(tmp_path, ray_session):
             if e.stats["conv_id"][0] <= "c2" <= e.stats["conv_id"][1]}
     assert planned == want and len(want) >= 5
     _purge_matches_model(t, pre, keys)
+
+
+# ------------------------------------------ purge plans (hash-space bounds)
+
+
+def test_purge_plans_on_hash_bounds_after_zorder(tmp_path, ray_session):
+    """A z-ordered file's composite bounds span nearly every key, so they
+    keep most files for one deleted turn; the `conv_h32` bounds exclude
+    every file whose hash span misses the turn's conversation."""
+    t, convs = _zordered(tmp_path)
+    conv, turn = convs[7], 5
+    composite = {e.path for e in t.live_entries()
+                 if tuple(e.stats["__key_lo"]) <= (conv, turn)
+                 <= tuple(e.stats["__key_hi"])}
+    pre = t.scan_arrow(sort=True)
+    keys = _keys([conv], [turn])
+    t.delete_by_keys(keys)
+    t.refresh()
+    planned, excluded = _planned(t)
+    assert set(_holding(t, conv, turn)) <= planned
+    assert len(planned) < len(composite)
+    assert excluded == len(t.live_entries()) - len(planned)
+    _purge_matches_model(t, pre, keys)
+
+
+def test_purge_null_key_ignores_hash_bounds(tmp_path, ray_session):
+    """Hash bounds skip null keys: a delete file holding (null, 3) plans
+    every file, also for its other, non-null key."""
+    t, convs = _zordered(tmp_path)
+    pre = t.scan_arrow(sort=True)
+    keys = _keys([convs[7], None], [5, 3])
+    t.delete_by_keys(keys)
+    t.refresh()
+    planned, excluded = _planned(t)
+    assert planned == {e.path for e in t.live_entries()}
+    assert excluded == 0
+    _purge_matches_model(t, pre, keys)
+
+
+# ------------------------------------- merges keep zorder's clustering
+
+
+def _h32_span(t: Table) -> dict[int, float]:
+    """Per bucket, the summed width of the live files' hash-space bounds,
+    as a share of the hash space."""
+    out: dict[int, float] = {}
+    for e in t.live_entries():
+        lo, hi = e.stats.get("conv_h32") or e.stats["conv_id_h32"]
+        out[e.partition] = out.get(e.partition, 0.0) + (hi - lo) / 2**32
+    return out
+
+
+def _wasted_reads(t: Table, convs: list[str]) -> int:
+    """Files the lookups of `convs` read that hold none of their rows."""
+    holds: dict[str, set[str]] = {}
+    for e in t.live_entries():
+        f = read_file(os.path.join(t.root, e.path), columns=["conv_id"])
+        for c in pc.unique(f["conv_id"]).to_pylist():
+            holds.setdefault(c, set()).add(e.path)
+    return sum(len({e.path for e in t.prune_point(c)} - holds[c])
+               for c in convs)
+
+
+def _merge_source(cur: pa.Table, convs: list[str], turn: int) -> pa.Table:
+    """New text for `turn` of every conversation, plus a new turn for
+    every third one."""
+    src = cur.filter(pc.equal(cur["turn_idx"], turn))
+    src = src.set_column(3, "text", pc.binary_join_element_wise(
+        f"m{turn}-", src["text"], ""))
+    new = src.filter(pa.array(np.isin(src["conv_id"].to_numpy(False),
+                                      convs[::3])))
+    new = new.set_column(1, "turn_idx", pc.add(
+        new["turn_idx"], pa.scalar(100, pa.int32())))
+    return pa.concat_tables([src, new])
+
+
+def _lww(cur: pa.Table, src: pa.Table) -> pa.Table:
+    kept = cur.filter(pa.array(~KeySet(src.select(KEYS)).contains(cur)))
+    return pa.concat_tables([kept, src]).sort_by(
+        [(k, "ascending") for k in KEYS])
+
+
+def test_merges_keep_zorder_clustering(tmp_path, ray_session, monkeypatch):
+    """Copy-on-write merges of z-ordered files write their rows in zorder's
+    curve order: after each merge, each bucket's files span as much hash
+    space as after zorder, and lookups read no more files that miss their
+    conversation. The span sum moves by a few percent with the cut points
+    (the merge sizes files by its z-ordered inputs' bytes per row and cuts
+    a few more); writing the source rows at the tail more than doubles it.
+    """
+    t, convs = _zordered(tmp_path)
+    span0, wasted0 = _h32_span(t), _wasted_reads(t, convs)
+    model = t.scan_arrow(sort=True)
+    monkeypatch.setattr(merge_mod, "MOR_MIN_AMPLIFICATION", math.inf)
+    for turn in (3, 11):
+        src = _merge_source(model, convs, turn)
+        snap = merge_into(t, src, target_file_bytes=12 * 1024)
+        t.refresh()
+        assert snap.summary["write_mode"] == "copy-on-write"
+        model = _lww(model, src)
+        assert t.scan_arrow(sort=True).equals(model)
+        span = _h32_span(t)
+        assert span.keys() == span0.keys()
+        assert all(span[b] <= 1.05 * span0[b] for b in span0), (span, span0)
+        assert _wasted_reads(t, convs) <= wasted0
+
+
+def _layout(t: Table) -> list:
+    """Each live file's bucket, hash bounds and key sequence."""
+    out = []
+    for e in t.live_entries():
+        f = read_file(os.path.join(t.root, e.path), columns=KEYS)
+        out.append((e.partition, e.stats.get("conv_h32"),
+                    f["conv_id"].to_pylist(), f["turn_idx"].to_pylist()))
+    return sorted(out)
+
+
+def test_paused_merge_writes_the_planned_layout(tmp_path, ray_session,
+                                                monkeypatch):
+    """The curve-order mark is persisted with the plan: a merge paused
+    after one task and resumed writes the files an uninterrupted one
+    writes."""
+    monkeypatch.setattr(merge_mod, "MOR_MIN_AMPLIFICATION", math.inf)
+    whole, convs = _zordered(tmp_path, "whole")
+    paused, _ = _zordered(tmp_path, "paused")
+    src = _merge_source(whole.scan_arrow(sort=True), convs, 3)
+    merge_into(whole, src, target_file_bytes=12 * 1024)
+    assert merge_into(paused, src, target_file_bytes=12 * 1024,
+                      job_id="pause", max_tasks=1) is None
+    tasks = Ledger(paused.root, "pause").read_meta()["tasks"]
+    assert len(tasks) > 1
+    assert all(x["extra"]["curve"] == "z" for x in tasks if x["input_paths"])
+    merge_into(paused, src, target_file_bytes=12 * 1024, job_id="pause")
+    assert _layout(whole.refresh()) == _layout(paused.refresh())

@@ -2,7 +2,8 @@
 each op pauses after one task and resumes under its job_id from the
 persisted plan, never re-planning; a paused job's written files survive
 orphan GC; an empty plan leaves no job directory; and perfbench's traced
-run sees every planner it wraps."""
+run sees every planner it wraps; a job whose commit lost to a conflict
+leaves its files to orphan GC."""
 
 import importlib
 import math
@@ -15,6 +16,7 @@ import pytest
 
 import raylake.ops.merge as merge_mod
 from raylake.core.deletes import KeySet
+from raylake.core.table import CommitConflictError, Table
 from raylake.fixtures.transcripts import write_transcript_table
 from raylake.ops import (
     apply_deletes,
@@ -132,6 +134,29 @@ def test_expire_keeps_paused_merge_on_read_delete_file(tbl, monkeypatch):
     t.refresh()
     assert snap.summary["write_mode"] == "merge-on-read"
     assert t.scan_arrow(sort=True).equals(_lww(cur, src))
+
+
+def test_lost_commit_leaves_its_files_to_expire(tbl):
+    """A job whose commit loses to a conflict can never commit: it drops
+    its ledger, so expire removes the files it wrote and only the live
+    files stay on disk."""
+    t = tbl
+    pre = t.scan_arrow(sort=True)
+    assert compact(t, target_file_bytes=512 * 1024, job_id="lost",
+                   max_tasks=1) is None
+    assert compact(Table.load(t.root),
+                   target_file_bytes=512 * 1024) is not None
+    with pytest.raises(CommitConflictError):
+        compact(t, target_file_bytes=512 * 1024, job_id="lost")
+    assert not os.path.exists(os.path.join(t.root, "metadata", "jobs",
+                                           "lost"))
+    expire_snapshots(t, keep_last=1, grace_period_s=0.0)
+    t.refresh()
+    on_disk = {os.path.relpath(os.path.join(d, f), t.root)
+               for d, _, fs in os.walk(os.path.join(t.root, "data"))
+               for f in fs}
+    assert on_disk == {e.path for e in t.live_entries()}
+    assert t.scan_arrow(sort=True).equals(pre)
 
 
 @pytest.mark.parametrize("noop", [
