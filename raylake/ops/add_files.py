@@ -20,32 +20,29 @@ Semantics:
   bucket joins rely on it — and an arbitrary external file cannot honor
   that invariant. Use ``ops.append`` (which splits by bucket) instead.
 
-One Ray task per file reads ONLY the stats/bloom columns to build manifest
-stats (min/max zonemaps + optional bloom filters keep pruning working for
-imported files); row counts come from the parquet footer. The driver
-collects the tiny entry stream and lands one atomic ``add_files`` commit.
+The paths are cut into two bins per CPU slot, each one Ray task
+(``ops.rewrite.run_bins``; a Ray task costs ≈23 ms of scheduling CPU, so
+not one per file). A bin reads ONLY the stats/bloom columns of its files
+to build manifest stats (min/max zonemaps + optional bloom filters keep
+pruning working for imported files); row counts come from the parquet
+footer. The driver lands the entries in one atomic ``add_files`` commit.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
-import pyarrow as pa
 import pyarrow.parquet as pq
 
 from raylake.core import metadata as md
 from raylake.core.io import read_file
 from raylake.core.metadata import ManifestEntry
 from raylake.core.table import Table
+from raylake.ops.rewrite import bin_count, run_bins
 
 
-def _entry_for_file(path: str, table_root: str) -> ManifestEntry:
-    """Stats-building body for one external file (runs as a Ray task)."""
-    from raylake.ops.rewrite import cap_arrow_threads
-
-    cap_arrow_threads(1)
-    t = Table.load(table_root)
+def _entry_for_file(path: str, t: Table) -> ManifestEntry:
+    """Stats-building body for one external file."""
     with pq.ParquetFile(path) as f:
         file_schema = f.schema_arrow
         num_rows = f.metadata.num_rows
@@ -77,13 +74,15 @@ def _entry_for_file(path: str, table_root: str) -> ManifestEntry:
         rows=num_rows,
         bytes=os.path.getsize(path),
         stats=stats,
+        schema_id=t.schema_id,  # the schema check above
     )
 
 
-def _entry_batch(batch: pa.Table, table_root: str) -> pa.Table:
-    entries = [json.dumps(_entry_for_file(p, table_root).to_json())
-               for p in batch["path"].to_pylist()]
-    return pa.table({"entry_json": pa.array(entries, pa.string())})
+def _entries_for_files(paths: list[str],
+                       table_root: str) -> list[ManifestEntry]:
+    """The manifest entries of a bin of external files (one Ray task)."""
+    t = Table.load(table_root)
+    return [_entry_for_file(p, t) for p in paths]
 
 
 def add_files(table: Table, paths: list[str], summary: dict | None = None):
@@ -91,8 +90,6 @@ def add_files(table: Table, paths: list[str], summary: dict | None = None):
     Returns the commit Snapshot, or None for an empty path list. Raises on
     partitioned tables, schema mismatch, missing files, and paths already
     live in the table (double-add would double-count rows)."""
-    import ray.data
-
     if table.partition_column is not None:
         raise ValueError(
             "add_files requires an unpartitioned table: hash-bucketed "
@@ -117,14 +114,11 @@ def add_files(table: Table, paths: list[str], summary: dict | None = None):
         raise ValueError(f"add_files: already live in the table: "
                          f"{sorted(dups)[:3]}")
 
-    entry_rows = (ray.data.from_items([{"path": p} for p in paths])
-                  .map_batches(_entry_batch,
-                               fn_kwargs={"table_root": table.root},
-                               batch_format="pyarrow", batch_size=1,
-                               num_cpus=1)
-                  .take_all())
-    entries = [ManifestEntry.from_json(json.loads(r["entry_json"]))
-               for r in entry_rows]
+    n = min(bin_count(), len(paths))
+    bins = [paths[i * len(paths) // n:(i + 1) * len(paths) // n]
+            for i in range(n)]
+    entries = [e for got in run_bins(_entries_for_files, bins,
+                                     table_root=table.root) for e in got]
     s = dict(summary or {})
     # commit() already stamps added_files/added_rows; only the external
     # marker is new information

@@ -11,38 +11,39 @@ plan → packed bins → ledger → one commit.
   plan, and persists the tasks and facts in the job meta. Re-running the
   same job_id therefore resumes the plan its ledgered results belong to,
   never a re-plan of an advanced snapshot. An empty plan leaves no job.
-- The tasks are packed into two bins per CPU slot, and each bin runs as
-  one Ray task. Bins are the unit of dispatch: every Ray task costs
-  scheduling CPU however small its work (≈23 ms on a 1-CPU host), so a
-  job pays that twice per slot, not once per planned task (`pack_tasks`).
+- The tasks are packed into two bins per CPU slot, each run as one plain
+  Ray task (`run_bins`): every Ray task costs scheduling CPU however small
+  its work (≈23 ms on a 1-CPU host), so a job pays that twice per slot,
+  not once per planned task (`pack_tasks`). No Ray Data job launches the
+  bins, as no data flows through the launch: two empty bins cost 147 ms of
+  process-group CPU as a Ray Data job, 13 ms as Ray tasks (1-CPU host,
+  `scripts/launcher_cost.py`).
 - Each finished task ledgers its lineage (input files → the files it
   wrote, `task_result`) atomically before the commit, so tasks are the
   unit of resume (SURVEY §4, north_rule "resumable from checkpoint").
 - `commit_from_ledger` assembles one atomic replace-commit from the ledger.
 
-Execution uses Ray Data's TASK pool (a plain function + fn_kwargs), NOT a
-per-job actor pool, deliberately: the per-task state here is one parsed
-table.json (~KB) — trivially reloadable — while a fresh actor pool per
-maintenance op pays O(pool size) process spawns per op, which measurably
-INVERTED scaling at 32 CPUs (pool startup ≫ compute for 5 MB tasks; see
-BASELINE.md history). Task-pool worker processes are reused across the whole
-compact→zorder→merge sequence. Heavy state (models, compiled profiles,
-broadcast indexes) still uses actor pools — see raylake/functions/text.py,
+Bins are tasks, NOT a per-job actor pool, deliberately: a bin's state is
+one parsed table.json (~KB), trivially reloaded, while a fresh actor pool
+per op pays O(pool size) process spawns, which measurably INVERTED scaling
+at 32 CPUs (pool startup ≫ compute for 5 MB tasks; BASELINE.md history).
+Task worker processes are reused across the whole compact→zorder→merge
+sequence. Heavy state (models, compiled profiles, broadcast indexes) still
+uses actor pools — see raylake/functions/text.py,
 raylake/functions/similarity.py (ST1 pattern).
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 import time
 import uuid
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import ray
 
 from raylake.core.hashing import hash32_rows, is_string_type
 from raylake.core.metadata import ManifestEntry
@@ -179,8 +180,8 @@ def read_task_inputs(table: Table, task: dict,
     apply the branch's deletes, not main's. Merge-on-read deletes MUST be
     applied here: the output file gets a NEW sequence number, so the
     delete files would stop applying to it (Iceberg's rule). The delete
-    state is loaded once per Table instance (`_rewrite_batch_inner` loads
-    one per bin), and the input files' sequence numbers with it, in one
+    state is loaded once per Table instance (`run_bin` loads one per
+    bin), and the input files' sequence numbers with it, in one
     manifest walk, only while equality deletes exist."""
     paths = task["input_paths"]
     if not paths:
@@ -287,49 +288,78 @@ def pack_tasks(tasks: list[RewriteTask], n_bins: int) -> list[list[RewriteTask]]
     return [bins[i] for _, _, i in sorted(heap, reverse=True)]
 
 
-def _rewrite_batch(
-    batch: pd.DataFrame, table_root: str, job_id: str, task_fn, params: dict
-) -> pd.DataFrame:
-    """Task-pool body: one batch row = one bin of RewriteTasks."""
-    cap_arrow_threads(1)
-    return _rewrite_batch_inner(batch, table_root, job_id, task_fn, params)
-
-
-def _rewrite_batch_inner(batch, table_root, job_id, task_fn, params):
-    """Run each bin's tasks in sequence, ledger-recording each one
-    atomically as it finishes, making the job resumable task by task."""
+def run_bin(tasks: list[dict], table_root: str, job_id: str, task_fn,
+            params: dict) -> pa.RecordBatch:
+    """One bin of a rewrite job: run its tasks in sequence, ledgering each
+    one atomically as it finishes, so the job resumes task by task. Returns
+    the ids of the tasks it ran."""
     table = Table.load(table_root)  # one small JSON read per bin
     ledger = Ledger(table_root, job_id)
     # a bin Ray retries after a worker crash must not rewrite a task it
     # already ledgered: that would orphan the first run's output files
     done = ledger.completed()
-    out = []
-    for bin_json in batch["bin_json"]:
-        for task in json.loads(bin_json):
-            if task["task_id"] in done:
-                continue
-            t0, c0 = time.monotonic(), time.process_time()
-            res = task_fn(table, task, params)
-            wall = time.monotonic() - t0
-            rec = {
-                "partition": task["partition"],
-                "input_files": task["input_paths"],
-                "entries": [e.to_json() for e in res.get("entries", [])],
-                "replaced": res.get("replaced", []),
-                "rows": res.get("rows", 0),
-                "bytes": sum(e.bytes for e in res.get("entries", [])),
-                "skipped": res.get("skipped", False),
-                "wall_s": wall,
-                "cpu_s": time.process_time() - c0,
-            }
-            for k in ("staged_rows_read", "staged_rows_used", "cdc_files",
-                      "deletes"):
-                if k in res:
-                    rec[k] = res[k]
-            ledger.record(task["task_id"], rec)
-            out.append({"task_id": task["task_id"], "rows": rec["rows"],
-                        "wall_s": wall})
-    return pd.DataFrame(out, columns=["task_id", "rows", "wall_s"])
+    ran = []
+    for task in tasks:
+        if task["task_id"] in done:
+            continue
+        t0, c0 = time.monotonic(), time.process_time()
+        res = task_fn(table, task, params)
+        rec = {
+            "partition": task["partition"],
+            "input_files": task["input_paths"],
+            "entries": [e.to_json() for e in res.get("entries", [])],
+            "replaced": res.get("replaced", []),
+            "rows": res.get("rows", 0),
+            "bytes": sum(e.bytes for e in res.get("entries", [])),
+            "skipped": res.get("skipped", False),
+            "wall_s": time.monotonic() - t0,
+            "cpu_s": time.process_time() - c0,
+            **{k: res[k] for k in ("staged_rows_read", "staged_rows_used",
+                                   "cdc_files", "deletes") if k in res},
+        }
+        ledger.record(task["task_id"], rec)
+        ran.append(task["task_id"])
+    return pa.record_batch({"task_id": pa.array(ran, pa.string())})
+
+
+def bin_count(concurrency: int | None = None) -> int:
+    """Two bins per CPU slot (the cluster's CPUs, capped by `concurrency`):
+    a slot that drew a light bin pulls the next one. Replaying ledgered
+    task times at 4-32 slots, one bin per slot ran up to 4% longer than one
+    Ray task per planned task; two per slot never did."""
+    slots = max(1, int(ray.cluster_resources().get("CPU", 4)))
+    if concurrency is not None:
+        slots = min(slots, concurrency)
+    return 2 * slots
+
+
+@ray.remote(num_cpus=1)
+def _bin_task(fn, items, kwargs):
+    cap_arrow_threads(1)
+    return fn(items, **kwargs)
+
+
+def run_bins(fn, bins: list, concurrency: int | None = None,
+             **kwargs) -> list:
+    """`[fn(b, **kwargs) for b in bins]`, each call one Ray task on one CPU,
+    started in list order with at most `concurrency` in flight (None: all).
+    When a bin raises, no further bin starts, the running ones are waited
+    for (a resume must not race them) and its exception, whose type Ray's
+    `RayTaskError` keeps, is re-raised."""
+    limit = len(bins) if concurrency is None else max(1, concurrency)
+    results, running, nxt = [None] * len(bins), {}, 0
+    while running or nxt < len(bins):
+        while nxt < len(bins) and len(running) < limit:
+            running[_bin_task.remote(fn, bins[nxt], kwargs)] = nxt
+            nxt += 1
+        [ref], _ = ray.wait(list(running), num_returns=1)
+        i = running.pop(ref)
+        try:
+            results[i] = ray.get(ref)
+        except Exception:
+            ray.wait(list(running), num_returns=len(running))
+            raise
+    return results
 
 
 def run_rewrite_job(
@@ -344,8 +374,8 @@ def run_rewrite_job(
     meta_updates: dict | None = None,
     branch: str | None = None,
 ):
-    """Plan unless resuming, run the tasks as one Ray task per bin, and
-    commit once ALL are ledgered.
+    """Plan unless resuming, run the tasks as one Ray task per bin, at
+    most `concurrency` at a time, and commit once ALL are ledgered.
 
     `plan` is a zero-argument planner returning `(tasks, facts)`, or a task
     list whose only fact is `meta_updates`. The planner runs only when the
@@ -355,9 +385,6 @@ def run_rewrite_job(
     drops) and `meta_updates` (table metadata flipped in the same commit,
     e.g. the partition spec).
 
-    There are two bins per CPU slot: the cluster's CPUs, capped by
-    `concurrency` (at most that many concurrent Ray tasks) when given.
-
     Returns the committed Snapshot, or None if the plan is empty, if the job
     is incomplete (`max_tasks` reached / crash) — call again with the same
     `job_id` to resume — or if every task was a no-op skip. With `branch`,
@@ -365,9 +392,6 @@ def run_rewrite_job(
     to it (WAP maintenance — main readers never see the rewrite until
     fast_forward).
     """
-    import ray
-    import ray.data
-
     job_id = job_id or f"{operation}-{uuid.uuid4().hex[:12]}"
     ledger = Ledger(table.root, job_id)
     meta = ledger.read_meta()
@@ -390,12 +414,10 @@ def run_rewrite_job(
         if branch is not None:
             meta["branch"] = branch
         ledger.write_meta(meta)
-    # The persisted plan is authoritative. Re-planning from the CURRENT
-    # snapshot on resume is unsafe — if a commit landed between crash and
-    # resume, positional task_ids (`group_files` numbers each partition's
-    # groups) collide with ledgered results of DIFFERENT file groups, and the assembled commit can
-    # double-count rows (see ADVICE r01). A task list passed on resume is
-    # ignored in favor of the plan the ledgered results actually belong to.
+    # The persisted plan is authoritative: after a commit lands between
+    # crash and resume, a re-plan's positional task_ids (`group_files`
+    # numbers each partition's groups) would collide with ledgered results
+    # of DIFFERENT file groups and double-count rows (ADVICE r01).
     tasks = [RewriteTask(**t) for t in meta["tasks"]]
 
     done = ledger.completed()
@@ -404,33 +426,10 @@ def run_rewrite_job(
         todo = todo[:max_tasks]
 
     if todo:
-        slots = max(1, int(ray.cluster_resources().get("CPU", 4)))
-        if concurrency is not None:
-            slots = min(slots, concurrency)
-        # two bins per slot, handed out heaviest first: a slot that drew a
-        # light bin pulls the next one, which absorbs the error of
-        # input_bytes as a cost estimate. Replaying ledgered task times at
-        # 4-32 slots, one bin per slot ran up to 4% longer than one Ray
-        # task per planned task; two per slot never did.
-        bins = pack_tasks(todo, 2 * slots)
-        ds = ray.data.from_items(
-            [{"bin_json": json.dumps([asdict(t) for t in b])} for b in bins]
-        )
-        if concurrency is not None:
-            concurrency = min(concurrency, len(bins))
-        ds.map_batches(
-            _rewrite_batch,
-            fn_kwargs={
-                "table_root": table.root,
-                "job_id": job_id,
-                "task_fn": task_fn,
-                "params": params or {},
-            },
-            batch_size=1,
-            batch_format="pandas",
-            concurrency=concurrency,
-            num_cpus=1,
-        ).take_all()
+        bins = pack_tasks(todo, bin_count(concurrency))
+        run_bins(run_bin, [[asdict(t) for t in b] for b in bins],
+                 concurrency, table_root=table.root, job_id=job_id,
+                 task_fn=task_fn, params=params or {})
 
     done = ledger.completed()
     if not set(meta["task_ids"]) <= set(done):

@@ -21,7 +21,7 @@ import ray
 from raylake import Table
 from raylake.core.io import read_file
 from raylake.fixtures.transcripts import write_transcript_table
-from raylake.ops import append
+from raylake.ops import append, compact
 from raylake.ops.delete_where import (
     LINEAGE_FILE,
     LINEAGE_POS,
@@ -181,6 +181,33 @@ def test_file_committed_after_add_column_reads_current_schema(
     # a read_parquet option the per-file tasks cannot honour raises
     with pytest.raises(ValueError, match="override_num_blocks"):
         t.scan(override_num_blocks=2)
+
+
+def test_late_old_schema_file_among_rewritten_files(tmp_table_root,
+                                                   ray_session):
+    """The stale writer's file is the only one that predates the
+    `add_column`: compact rewrote every other file after it. The scan
+    knows the file from the schema its writer recorded and pads it like
+    `scan_arrow` does."""
+    t = write_transcript_table(tmp_table_root, 500, rows_per_file=64,
+                               num_buckets=2)
+    n = t.row_count()
+    stale = Table.load(t.root)
+    rows, part = _one_conv(stale, "late-")
+    t.add_column("score", pa.float64())
+    compact(t)
+    t.refresh()
+    assert all(e.seq_added > t.meta["schema_last_updated_seq"]
+               for e in t.live_entries())
+    stale.commit("append", [stale.write_file(rows, part)])
+    t.refresh()
+    whole = t.scan_arrow()
+    assert len(whole) == n + len(rows)
+    assert whole["score"].null_count == len(whole)
+    assert _rows(_ds_rows(t.scan())).equals(_rows(whole))
+    cols = ["conv_id", "score"]
+    assert _rows(_ds_rows(t.scan(columns=cols))).equals(
+        _rows(whole.select(cols)))
 
 
 def test_rename_then_readd_old_name_reads_nulls(tmp_table_root,

@@ -1,22 +1,27 @@
 """Rewrite jobs run one Ray task per bin of planned tasks: LPT packing
 properties, the Ray task count of a job, task-by-task ledgering inside a
-bin, and real task CPU in the commit summary."""
+bin, real task CPU in the commit summary, what a failed bin leaves behind,
+the `concurrency` cap, and every rewrite op on a 1-CPU Ray session."""
 
-import json
 import os
+import signal
+import subprocess
+import sys
+import time
 import uuid
 from dataclasses import asdict
 
-import pandas as pd
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from raylake.fixtures.transcripts import write_transcript_table
 from raylake.ops import compact, plan_compaction
+from raylake.ops.compact import _compact_task
 from raylake.ops.rewrite import (
     RewriteTask,
-    _rewrite_batch_inner,
     pack_tasks,
+    run_bin,
     run_rewrite_job,
 )
 from raylake.state.ledger import Ledger
@@ -89,8 +94,7 @@ def test_retried_bin_skips_ledgered_tasks(tmp_table_root):
         ran.append(task["task_id"])
         return {"entries": [], "replaced": [], "rows": 1}
 
-    batch = pd.DataFrame({"bin_json": [json.dumps([asdict(a), asdict(b)])]})
-    out = _rewrite_batch_inner(batch, t.root, "retry-job", task_fn, {})
+    out = run_bin([asdict(a), asdict(b)], t.root, "retry-job", task_fn, {})
     assert ran == [b.task_id]
     assert out["task_id"].tolist() == [b.task_id]
     done = ledger.completed()
@@ -113,3 +117,121 @@ def test_packed_compact_summary_has_task_cpu(tmp_table_root, ray_session):
     assert snap.summary["tasks"] == n_tasks
     assert snap.summary["task_cpu_s"] > 0
     assert snap.summary["task_wall_s"] > 0
+
+
+def test_failed_bin_leaves_a_resumable_job(tmp_table_root, ray_session):
+    """One task raises: the job raises the task's own exception type only
+    after the other bins finished, the table keeps its snapshot, every
+    other task is ledgered, and a re-run of the job id commits the same
+    rows."""
+    t = write_transcript_table(
+        tmp_table_root, n_turns=1500, rows_per_file=64, num_buckets=4)
+    pre, seq = t.scan_arrow(sort=True), t.current_seq
+    params = {"target_file_bytes": 512 * 1024, "branch": None}
+    tasks = plan_compaction(t, target_file_bytes=512 * 1024)
+    assert 2 <= len(tasks) <= 8  # one bin each on the 4-CPU session
+    bad = tasks[0].task_id
+    fail = os.path.join(tmp_table_root, "fail")
+    open(fail, "w").close()
+
+    def task_fn(table, task, params):
+        if task["task_id"] == bad and os.path.exists(fail):
+            time.sleep(0.2)
+            raise ValueError("boom")
+        time.sleep(0.5)  # still running when the bad task raises
+        return _compact_task(table, task, params)
+
+    with pytest.raises(ValueError, match="boom"):
+        run_rewrite_job(t, "compact", tasks, task_fn, job_id="fail-job",
+                        params=params)
+    assert t.refresh().current_seq == seq
+    done = Ledger(t.root, "fail-job").completed()
+    assert set(done) == {x.task_id for x in tasks} - {bad}
+    os.remove(fail)
+    snap = run_rewrite_job(t, "compact", tasks, task_fn, job_id="fail-job",
+                           params=params)
+    assert snap is not None and snap.summary["tasks"] == len(tasks)
+    assert t.refresh().scan_arrow(sort=True).equals(pre)
+
+
+def test_concurrency_caps_bins_in_flight(tmp_table_root, ray_session):
+    """`concurrency=1` runs its two bins one after the other, although
+    the session has 4 CPUs for them."""
+    t = write_transcript_table(tmp_table_root, n_turns=200, num_buckets=2)
+    spans = os.path.join(tmp_table_root, "spans")
+    os.makedirs(spans)
+
+    def task_fn(table, task, params):
+        t0 = time.time()
+        time.sleep(0.3)
+        with open(os.path.join(spans, task["task_id"]), "w") as f:
+            f.write(f"{t0} {time.time()}")
+        return {"entries": [], "replaced": [], "rows": 0}
+
+    tasks = [RewriteTask(task_id=f"s{i}", partition=i, input_bytes=1)
+             for i in range(2)]
+    run_rewrite_job(t, "noop", tasks, task_fn, concurrency=1)
+    spans = sorted(tuple(map(float, open(os.path.join(spans, f)).read()
+                             .split())) for f in os.listdir(spans))
+    assert len(spans) == 2
+    assert spans[0][1] <= spans[1][0]
+
+
+_ONE_CPU = """
+import math, sys
+import pyarrow as pa, pyarrow.compute as pc, ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+ray.data.DataContext.get_current().enable_progress_bars = False
+import raylake.ops.merge as M
+from raylake.core.deletes import KeySet
+from raylake.fixtures.transcripts import write_transcript_table
+from raylake.ops import apply_deletes, compact, merge_into, zorder
+
+t = write_transcript_table(sys.argv[1], 1500, rows_per_file=64,
+                           num_buckets=4)
+model = t.scan_arrow(sort=True)
+
+def check(name, snap):
+    t.refresh()
+    print(name, snap is not None and t.scan_arrow(sort=True).equals(model),
+          flush=True)
+
+check("compact", compact(t, target_file_bytes=64 * 1024))
+check("zorder", zorder(t, target_file_bytes=32 * 1024))
+for mode, amp, rows in (("copy-on-write", math.inf, [0, 11, 230, 901]),
+                        ("merge-on-read", 0, [5, 17, 404])):
+    M.MOR_MIN_AMPLIFICATION = amp
+    src = model.take(rows)
+    src = src.set_column(src.schema.get_field_index("text"), "text",
+                         pc.binary_join_element_wise("upd-", src["text"], ""))
+    keep = ~KeySet(src.select(["conv_id", "turn_idx"])).contains(model)
+    model = pa.concat_tables([model.filter(pa.array(keep)), src]).sort_by(
+        [(c, "ascending") for c in t.sort_order])
+    snap = merge_into(t, src)
+    check(mode, snap if snap.summary["write_mode"] == mode else None)
+check("apply_deletes", apply_deletes(t))
+ray.shutdown()
+"""
+
+
+def test_rewrite_ops_on_one_cpu(tmp_path):
+    """On a 1-CPU Ray session a job's two bins queue on one slot: every
+    rewrite op must still finish and keep the scan equal to the model."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    ops = ("compact", "zorder", "copy-on-write", "merge-on-read",
+           "apply_deletes")
+    child = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU, str(tmp_path / "tbl")], cwd=repo,
+        env=dict(os.environ, RAY_ADDRESS="", PYTHONPATH=repo),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)  # a hang kills its Ray processes too
+    try:
+        out, err = child.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        raise
+    assert child.returncode == 0, err[-2000:]
+    got = [ln for ln in out.splitlines() if ln.split(" ")[0] in ops]
+    assert got == [f"{op} True" for op in ops]
