@@ -2,16 +2,17 @@
 
 Counterpart of the reference's
 `df.write.format("iceberg").mode("append").partitionBy(...).saveAsTable(t)`
-(ref: src/elt/bronze/_bronze_handler.py:50-56), Ray-Data-first:
+(ref: src/elt/bronze/_bronze_handler.py:50-56).
 
-    ds.map_batches(AppendWriter, concurrency=N, batch_format="pyarrow")
-
-Each actor receives zero-copy Arrow batches, splits them by
-`hash(conv_id) % P`, writes one Parquet file per (bucket, batch) and emits
-the manifest entries as rows. The driver collects the (tiny) entry stream
-and lands ONE atomic append commit. No shuffle: appends tolerate many small
-files per bucket — compaction (raylake/ops/compact.py) is the repair path,
-exactly the Iceberg architecture the reference leans on.
+`append_batch` splits one Arrow batch by `hash(conv_id) % P`, writes one
+Parquet file per (bucket, batch) and returns the manifest entries as rows.
+`write_entries` runs it over byte-capped batches (`ops/rewrite.py:
+write_batches`): an in-memory table that makes one batch is written in the
+driver, more batches as plain Ray tasks, a `ray.data.Dataset` through
+`map_batches`. The driver lands ONE atomic append commit. No shuffle:
+appends tolerate many small files per bucket — compaction
+(raylake/ops/compact.py) is the repair path, exactly the Iceberg
+architecture the reference leans on.
 """
 
 from __future__ import annotations
@@ -21,18 +22,15 @@ import json
 import numpy as np
 import pyarrow as pa
 
-from raylake.core.hashing import partition_of
 from raylake.core.metadata import ManifestEntry
 from raylake.core.table import Table
 from raylake.functions.cleaning import normalize_schema
+from raylake.ops.rewrite import write_batches
 
 
 def append_batch(batch: pa.Table, table_root: str) -> pa.Table:
-    """Task-pool body: split one Arrow batch by hash bucket, write one
-    Parquet file per (bucket, batch), emit manifest entries as rows."""
-    from raylake.ops.rewrite import cap_arrow_threads
-
-    cap_arrow_threads(1)
+    """Split one Arrow batch by hash bucket, write one Parquet file per
+    (bucket, batch), emit manifest entries as rows."""
     t = Table.load(table_root)
     batch = normalize_schema(batch, t.schema)
     entries: list[str] = []
@@ -55,6 +53,19 @@ def append_batch(batch: pa.Table, table_root: str) -> pa.Table:
     return pa.table({"entry_json": pa.array(entries, type=pa.string())})
 
 
+def write_entries(table: Table, ds, concurrency: int | None = None,
+                  batch_size: int | None = None) -> list[ManifestEntry]:
+    """Write `ds` (ray.data.Dataset or pa.Table) into new files of `table`,
+    uncommitted, and return their manifest entries. `batch_size=None`
+    sizes batches by a BYTE budget, not rows — wide `text` columns scale
+    the row count down so writer heap stays bounded
+    (ops/rewrite.byte_capped_batch_size; SURVEY §7 hard part)."""
+    parts = write_batches(append_batch, ds, concurrency, batch_size,
+                          table_root=table.root)
+    return [ManifestEntry.from_json(json.loads(s))
+            for p in parts for s in p["entry_json"].to_pylist()]
+
+
 def append(
     table: Table,
     ds,
@@ -65,27 +76,8 @@ def append(
 ):
     """Append a ray.data.Dataset (or pa.Table) to the table; one commit.
     With `branch`, commits to that ref instead of main (the WAP write step
-    — main readers never see the rows until fast_forward publishes).
-    `batch_size=None` (default) sizes batches by a BYTE budget, not rows —
-    wide `text` columns scale the row count down so writer heap stays
-    bounded (ops/rewrite.byte_capped_batch_size; SURVEY §7 hard part)."""
-    import ray.data
-
-    from raylake.ops.rewrite import byte_capped_batch_size
-
-    if batch_size is None:
-        batch_size = byte_capped_batch_size(ds)
-    if isinstance(ds, pa.Table):
-        ds = ray.data.from_arrow(ds)
-    entry_rows = ds.map_batches(
-        append_batch,
-        fn_kwargs={"table_root": table.root},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    ).take_all()
-    entries = [ManifestEntry.from_json(json.loads(r["entry_json"])) for r in entry_rows]
+    — main readers never see the rows until fast_forward publishes)."""
+    entries = write_entries(table, ds, concurrency, batch_size)
     if not entries:
         return None
     return table.commit("append", entries, summary=summary, branch=branch)

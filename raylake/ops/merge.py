@@ -17,9 +17,11 @@ Execution plan (no all-to-all shuffle — the shuffle is replaced by
 manifest-pruned co-partitioning):
 
 1. **Stage**: source batches are hash-routed to `bucket = hash(conv_id)%P`
-   staging Parquet files via `map_batches` (stateless, streaming), or in the
-   driver when a `pa.Table` source would make one slice. Per-conv key stats
-   (conv_id, turn min/max) come back as a tiny side stream.
+   staging Parquet files the way append writes (`ops/rewrite.py:
+   write_batches`): a `pa.Table` source of one byte-capped batch in the
+   driver, of more as plain Ray tasks, a Dataset via `map_batches`
+   (stateless, streaming). Per-conv key stats (conv_id, turn min/max) come
+   back as a tiny side stream.
 2. **Prune**: manifest min/max stats select only target files whose
    (conv_id, turn_idx) range can contain a source key — untouched files are
    never read or rewritten.
@@ -82,6 +84,7 @@ from raylake.ops.rewrite import (
     run_rewrite_job,
     skipped,
     task_result,
+    write_batches,
 )
 from raylake.ops.zorder import curve_order
 from raylake.state.ledger import Ledger
@@ -101,19 +104,11 @@ def table_keys(table: Table) -> tuple[str, str | None]:
 # --------------------------------------------------------------------- stage
 
 
-def _stage_batch(batch: pa.Table, table_root: str, staging_dir: str) -> pa.Table:
-    """Task-pool body: `_stage_rows` in a Ray worker, whose Arrow pools are
-    pinned to its one CPU (never done in the driver: the pin is process-
-    wide)."""
-    from raylake.ops.rewrite import cap_arrow_threads
-
-    cap_arrow_threads(1)
-    return _stage_rows(batch, Table.load(table_root), staging_dir)
-
-
-def _stage_rows(batch: pa.Table, t: Table, staging_dir: str) -> pa.Table:
+def _stage_batch(batch: pa.Table, table_root: str,
+                 staging_dir: str) -> pa.Table:
     """Split a source batch by bucket, write staging parquet, emit
     per-(bucket, key0) key stats as the return rows."""
+    t = Table.load(table_root)
     k0, k1 = table_keys(t)
     batch = normalize_schema(batch, t.schema)
     part = partition_of(batch[t.partition_column], t.num_buckets)
@@ -168,42 +163,12 @@ def _stage_source(table: Table, source, staging_dir: str) -> pd.DataFrame:
 
     The stats stream is one row per (bucket, conv_id) — small relative to the
     source (convs ≪ turns); it is the only thing the driver materializes.
+    Byte-capped batches, a one-batch source staged in the driver
+    (`ops/rewrite.py:write_batches`).
     """
-    import ray
-    import ray.data
-
-    from raylake.ops.rewrite import byte_capped_batch_size
-
-    # byte-budgeted batches: a 64k-row batch of 100 KB turns would be ~6 GB
-    # in the staging worker's heap (SURVEY §7 wide-text hard part)
-    batch_size = byte_capped_batch_size(source)
-    if isinstance(source, pa.Table):
-        # split into one slice per CPU so staging parallelizes (a single
-        # Arrow table otherwise becomes ONE block → ONE staging task)
-        n_cpus = max(1, int(ray.cluster_resources().get("CPU", 4)))
-        n_slices = min(n_cpus, max(1, len(source) // 8192))
-        if n_slices == 1:
-            # one slice would be one Ray task: stage in the driver, which
-            # already holds the table, one byte-capped batch at a time
-            # (100-row source: 8-20 ms of CPU here against 85-175 ms for
-            # the Ray job)
-            parts = [_stage_rows(source.slice(i, batch_size), table,
-                                 staging_dir)
-                     for i in range(0, len(source), batch_size)]
-            stats = (pa.concat_tables(parts).to_pandas() if parts
-                     else pd.DataFrame())
-            return _merge_key_stats(stats)
-        step = max(1, len(source) // n_slices + 1)
-        source = ray.data.from_arrow(
-            [source.slice(i, step) for i in range(0, len(source), step)]
-        )
-    stats = source.map_batches(
-        _stage_batch,
-        fn_kwargs={"table_root": table.root, "staging_dir": staging_dir},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        num_cpus=1,
-    ).to_pandas()
+    parts = write_batches(_stage_batch, source, table_root=table.root,
+                          staging_dir=staging_dir)
+    stats = pa.concat_tables(parts).to_pandas() if parts else pd.DataFrame()
     return _merge_key_stats(stats)
 
 

@@ -7,15 +7,16 @@ form of the reference's full-table `mode("overwrite")` loads
 semantics: Spark `spark.sql.sources.partitionOverwriteMode=dynamic` /
 Delta `replaceWhere` / Iceberg `INSERT OVERWRITE` (dynamic).
 
-Plan shape: the incoming Dataset writes through the SAME no-shuffle
-distributed writer as append (one file per (bucket, batch), task pool,
-`cap_arrow_threads(1)` inside `append_batch`); the driver collects only
-the tiny manifest-entry stream, derives the touched partition set from
-it, and lands ONE atomic commit that adds the new files and replaces
-every live file of exactly those partitions. Snapshot isolation comes
-from the existing commit machinery: a concurrent rewrite of a replaced
-partition fails the still-live check and raises CommitConflictError;
-concurrent commits to OTHER partitions rebase cleanly.
+Plan shape: the incoming rows are written by the SAME no-shuffle writer
+as append (`ops/append.py:write_entries`: one file per (bucket, batch),
+byte-capped batches, a one-batch table in the driver, more as plain Ray
+tasks); the driver derives the touched partition set from the new
+manifest entries and lands ONE atomic commit that adds the new files and
+replaces every live file of exactly those partitions. Snapshot isolation
+comes from the existing commit machinery: a concurrent rewrite of a
+replaced partition fails the still-live check and raises
+CommitConflictError; concurrent commits to OTHER partitions rebase
+cleanly.
 
 CDC: the commit lands as operation "overwrite", which `Table.changes`
 refuses to reconstruct (by design — the op never reads the rows it
@@ -24,46 +25,29 @@ replaces, so preimages would require a scan it deliberately skips).
 
 from __future__ import annotations
 
-import json
-
-import pyarrow as pa
-
-from raylake.core.metadata import ManifestEntry
 from raylake.core.table import Table
-from raylake.ops.append import append_batch
+from raylake.ops.append import write_entries
 
 
 def overwrite_partitions(
     table: Table,
     ds,
     concurrency: int | None = None,
-    batch_size: int | None = 64 * 1024,
+    batch_size: int | None = None,
     summary: dict | None = None,
     branch: str | None = None,
 ):
     """Write `ds` (ray.data.Dataset or pa.Table) and atomically swap it in
     for every live file of the partitions it touches. Returns the new
     Snapshot, or None if `ds` is empty (dynamic semantics: no incoming
-    partitions → nothing replaced, no commit).
+    partitions → nothing replaced, no commit). `batch_size=None` sizes
+    batches by bytes, as append does.
 
     On an UNPARTITIONED table every row lands in the single partition
     (-1), so this degrades to a full-table overwrite — documented, not an
     error, mirroring dynamic INSERT OVERWRITE on an unpartitioned table.
     """
-    import ray.data
-
-    if isinstance(ds, pa.Table):
-        ds = ray.data.from_arrow(ds)
-    entry_rows = ds.map_batches(
-        append_batch,
-        fn_kwargs={"table_root": table.root},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    ).take_all()
-    added = [ManifestEntry.from_json(json.loads(r["entry_json"]))
-             for r in entry_rows]
+    added = write_entries(table, ds, concurrency, batch_size)
     if not added:
         return None
     parts = {e.partition for e in added}

@@ -125,20 +125,11 @@ class SilverPipeline:
         if target is None:
             return result
         if mode == "overwrite":
-            import json
+            from raylake.ops.append import write_entries
 
-            from raylake.core.metadata import ManifestEntry
-            from raylake.ops.append import append_batch  # reuse writer path
-
-            entry_rows = result.map_batches(
-                append_batch,
-                fn_kwargs={"table_root": target.root},
-                batch_format="pyarrow",
-            ).take_all()
-            entries = [
-                ManifestEntry.from_json(json.loads(r["entry_json"]))
-                for r in entry_rows
-            ]
+            # materialized once: the byte-cap probe and the write would
+            # otherwise each run the dedup shuffle
+            entries = write_entries(target, result.materialize())
             replaced = {e.path for e in target.live_entries()}
             return target.commit("overwrite", entries, replaced_paths=replaced,
                                  expected_parent=target.current_seq)

@@ -186,7 +186,9 @@ ray.data.DataContext.get_current().enable_progress_bars = False
 import raylake.ops.merge as M
 from raylake.core.deletes import KeySet
 from raylake.fixtures.transcripts import write_transcript_table
-from raylake.ops import apply_deletes, compact, merge_into, zorder
+from raylake.ops import (append, apply_deletes, compact, merge_into,
+                         overwrite_partitions, zorder)
+from raylake.ops.rewrite import byte_capped_batch_size
 
 t = write_transcript_table(sys.argv[1], 1500, rows_per_file=64,
                            num_buckets=4)
@@ -211,16 +213,51 @@ for mode, amp, rows in (("copy-on-write", math.inf, [0, 11, 230, 901]),
     snap = merge_into(t, src)
     check(mode, snap if snap.summary["write_mode"] == mode else None)
 check("apply_deletes", apply_deletes(t))
+
+def renamed(rows, prefix):
+    return rows.set_column(0, "conv_id", pc.binary_join_element_wise(
+        prefix, rows["conv_id"], ""))
+
+def add(rows):
+    global model
+    model = pa.concat_tables([model, rows]).sort_by(
+        [(c, "ascending") for c in t.sort_order])
+
+new = renamed(model.slice(0, 200), "a1-")  # one batch: in the driver
+add(new)
+check("append", append(t, new))
+new = renamed(model.slice(0, 300), "a2-")  # five batches: two Ray tasks
+add(new)
+check("append-bins", append(t, new, batch_size=64))
+src = renamed(model.slice(0, 150), "o-")
+parts = pa.array(t.partition_ids(src["conv_id"]))
+model = model.filter(pc.invert(pc.is_in(
+    pa.array(t.partition_ids(model["conv_id"])), parts)))
+add(src)
+check("overwrite", overwrite_partitions(t, src))
+M.MOR_MIN_AMPLIFICATION = 64
+src = model.take(list(range(0, 700, 10)))  # 70 turns of 1 MiB: two batches
+src = src.set_column(src.schema.get_field_index("text"), "text", pa.array(
+    [f"{i}:" + "w" * (1 << 20) for i in range(len(src))]))
+keep = ~KeySet(src.select(["conv_id", "turn_idx"])).contains(model)
+model = model.filter(pa.array(keep))
+add(src)
+snap = merge_into(t, src)
+check("merge-batches", snap if byte_capped_batch_size(src) < len(src)
+      else None)
 ray.shutdown()
 """
 
 
 def test_rewrite_ops_on_one_cpu(tmp_path):
     """On a 1-CPU Ray session a job's two bins queue on one slot: every
-    rewrite op must still finish and keep the scan equal to the model."""
+    rewrite op, append and overwrite, in one batch or several, and a merge
+    whose source stages in two batches must still finish and keep the scan
+    equal to the model."""
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ops = ("compact", "zorder", "copy-on-write", "merge-on-read",
-           "apply_deletes")
+           "apply_deletes", "append", "append-bins", "overwrite",
+           "merge-batches")
     child = subprocess.Popen(
         [sys.executable, "-c", _ONE_CPU, str(tmp_path / "tbl")], cwd=repo,
         env=dict(os.environ, RAY_ADDRESS="", PYTHONPATH=repo),

@@ -2,11 +2,11 @@
 
 Ray's map_batches coalesces to a ROW count, so writer-side stages sized in
 rows would put gigabytes into one worker heap when turns are 100 KB+. The
-writer paths (append, merge staging) now size batches by a byte budget
-(ops/rewrite.byte_capped_batch_size). These tests build a 120 KB-turn
-fixture and pin: the cap math, bounded rows-per-written-file through
-append, bit-for-bit maintenance over wide rows, and the unchanged
-default-width behavior."""
+writer paths (append, partition overwrite, merge staging) now size
+batches by a byte budget (ops/rewrite.byte_capped_batch_size). These tests
+build a 120 KB-turn fixture and pin: the cap math, bounded
+rows-per-written-file through append and overwrite, bit-for-bit
+maintenance over wide rows, and the unchanged default-width behavior."""
 
 import numpy as np
 import pyarrow as pa
@@ -15,7 +15,7 @@ import pytest
 
 from raylake.core.schema import TRANSCRIPT_SCHEMA
 from raylake.core.table import Table
-from raylake.ops import compact, merge_into
+from raylake.ops import compact, merge_into, overwrite_partitions
 from raylake.ops.append import append
 from raylake.ops.rewrite import byte_capped_batch_size
 
@@ -69,6 +69,21 @@ def test_wide_append_bounds_rows_per_file(tmp_table_root, ray_session):
     assert max(e.rows for e in entries) * TEXT_BYTES <= (8 << 20) * 1.5
     got = t.scan_arrow(sort=True)
     assert got.equals(wide.sort_by(
+        [("conv_id", "ascending"), ("turn_idx", "ascending")]))
+
+
+def test_wide_overwrite_bounds_rows_per_file(tmp_table_root, ray_session):
+    """With its default batch size, a 72 MB overwrite into one bucket is
+    cut at the 64 MiB byte budget: no file holds more rows than
+    `byte_capped_batch_size` allows."""
+    t = Table.create(tmp_table_root, TRANSCRIPT_SCHEMA, num_buckets=1)
+    wide = _wide_table(600, n_convs=20)
+    cap = byte_capped_batch_size(wide)
+    assert cap < len(wide)
+    snap = overwrite_partitions(t, wide)
+    assert snap.summary["overwritten_partitions"] == [0]
+    assert max(e.rows for e in t.live_entries()) <= cap
+    assert t.scan_arrow(sort=True).equals(wide.sort_by(
         [("conv_id", "ascending"), ("turn_idx", "ascending")]))
 
 
