@@ -8,11 +8,10 @@ Counterpart of the reference's
 Parquet file per (bucket, batch) and returns the manifest entries as rows.
 `write_entries` runs it over byte-capped batches (`ops/rewrite.py:
 write_batches`): an in-memory table that makes one batch is written in the
-driver, more batches as plain Ray tasks, a `ray.data.Dataset` through
-`map_batches`. The driver lands ONE atomic append commit. No shuffle:
-appends tolerate many small files per bucket — compaction
-(raylake/ops/compact.py) is the repair path, exactly the Iceberg
-architecture the reference leans on.
+driver, anything larger through `map_batches`. The driver lands ONE
+atomic append commit. No shuffle: appends tolerate many small files per
+bucket — compaction (raylake/ops/compact.py) is the repair path, exactly
+the Iceberg architecture the reference leans on.
 """
 
 from __future__ import annotations

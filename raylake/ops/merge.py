@@ -19,9 +19,8 @@ manifest-pruned co-partitioning):
 1. **Stage**: source batches are hash-routed to `bucket = hash(conv_id)%P`
    staging Parquet files the way append writes (`ops/rewrite.py:
    write_batches`): a `pa.Table` source of one byte-capped batch in the
-   driver, of more as plain Ray tasks, a Dataset via `map_batches`
-   (stateless, streaming). Per-conv key stats (conv_id, turn min/max) come
-   back as a tiny side stream.
+   driver, anything larger via `map_batches` (stateless). Per-conv key
+   stats (conv_id, turn min/max) come back as a tiny side stream.
 2. **Prune**: manifest min/max stats select only target files whose
    (conv_id, turn_idx) range can contain a source key — untouched files are
    never read or rewritten.

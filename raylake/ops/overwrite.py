@@ -9,12 +9,12 @@ Delta `replaceWhere` / Iceberg `INSERT OVERWRITE` (dynamic).
 
 Plan shape: the incoming rows are written by the SAME no-shuffle writer
 as append (`ops/append.py:write_entries`: one file per (bucket, batch),
-byte-capped batches, a one-batch table in the driver, more as plain Ray
-tasks); the driver derives the touched partition set from the new
-manifest entries and lands ONE atomic commit that adds the new files and
-replaces every live file of exactly those partitions. Snapshot isolation
-comes from the existing commit machinery: a concurrent rewrite of a
-replaced partition fails the still-live check and raises
+byte-capped batches, a one-batch table in the driver, anything larger
+through `map_batches`); the driver derives the touched partition set from
+the new manifest entries and lands ONE atomic commit that adds the new
+files and replaces every live file of exactly those partitions. Snapshot
+isolation comes from the existing commit machinery: a concurrent rewrite
+of a replaced partition fails the still-live check and raises
 CommitConflictError; concurrent commits to OTHER partitions rebase
 cleanly.
 

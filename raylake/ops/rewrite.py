@@ -68,9 +68,10 @@ def byte_capped_batch_size(
     bytes — a fixed 64k-row batch of 100 KB turns would put ~6 GB in one
     worker heap (SURVEY §7 wide-`text` hazard). Estimate bytes/row from
     the source itself (exact for an in-memory Arrow table; a bounded
-    256-row probe for a Dataset) and cap the row count accordingly. At the
-    fixture's ~1 KB texts this returns `default_rows` unchanged, so
-    normal-width workloads keep their historical batch shape."""
+    256-row probe for a Dataset, which reruns its plan unless it is
+    materialized) and cap the row count accordingly. At the fixture's
+    ~1 KB texts this returns `default_rows` unchanged, so normal-width
+    workloads keep their historical batch shape."""
     if isinstance(source, pa.Table):
         if len(source) == 0:
             return default_rows
@@ -367,11 +368,6 @@ def _capped_batch(batch, fn, kwargs):
     return fn(batch, **kwargs)
 
 
-def _slice_bin(offsets, source, batch_size, batch_fn, kwargs):
-    rows = ray.get(source)
-    return [batch_fn(rows.slice(off, batch_size), **kwargs) for off in offsets]
-
-
 def write_batches(fn, source, concurrency: int | None = None,
                   batch_size: int | None = None, **kwargs) -> list[pa.Table]:
     """`fn(batch, **kwargs)` for each `batch_size`-row batch of `source`
@@ -379,31 +375,31 @@ def write_batches(fn, source, concurrency: int | None = None,
     the body of append, partition overwrite and merge staging, which split
     each batch by bucket and write it.
 
-    A `pa.Table` is cut into the consecutive slices Ray Data would cut.
-    One slice runs in the driver, which already holds the rows: a 200-turn
-    append that writes 16 bucket files costs ≈226 ms of process-group CPU
-    as a Ray Data job, ≈50 ms as one Ray task and ≈35 ms in the driver
-    (1-CPU host, `scripts/launcher_cost.py`). More slices go, contiguous and in order,
-    into `bin_count` bins run by `run_bins`, which read the table from the
-    object store (a pickled slice would carry the whole table's buffers).
-    A `ray.data.Dataset` streams through `map_batches`."""
-    if batch_size is None:
+    A `pa.Table` that makes one batch runs in the driver, which already
+    holds the rows: a 200-turn append that writes 16 bucket files costs
+    ≈226 ms of process-group CPU as a Ray Data job, ≈50 ms as one Ray task
+    and ≈35 ms in the driver (1-CPU host, `scripts/launcher_cost.py`).
+    Anything larger goes through `map_batches`. A Dataset whose batch size
+    is byte-capped is materialized once first, so the size probe reads the
+    object store instead of running the Dataset's plan a second time."""
+    if isinstance(source, pa.Table):
+        if batch_size is None:
+            batch_size = byte_capped_batch_size(source)
+        if len(source) <= batch_size:
+            return [fn(source, **kwargs)] if len(source) else []
+        from ray.data import from_arrow
+
+        source = from_arrow(source)
+    elif batch_size is None:
+        source = source.materialize()
         batch_size = byte_capped_batch_size(source)
-    if not isinstance(source, pa.Table):
-        ds = source.map_batches(
-            _capped_batch, fn_kwargs={"fn": fn, "kwargs": kwargs},
-            batch_format="pyarrow", batch_size=batch_size,
-            concurrency=concurrency, num_cpus=1)
-        return [b for b in ray.get(ds.to_arrow_refs()) if len(b)]
-    offsets = range(0, len(source), batch_size)
-    if len(offsets) <= 1:
-        return [fn(source.slice(off, batch_size), **kwargs) for off in offsets]
-    k = min(len(offsets), bin_count(concurrency))
-    bins = [offsets[i * len(offsets) // k:(i + 1) * len(offsets) // k]
-            for i in range(k)]
-    outs = run_bins(_slice_bin, bins, concurrency, source=ray.put(source),
-                    batch_size=batch_size, batch_fn=fn, kwargs=kwargs)
-    return [out for bin_outs in outs for out in bin_outs]
+    ds = source.map_batches(
+        _capped_batch, fn_kwargs={"fn": fn, "kwargs": kwargs},
+        batch_format="pyarrow", batch_size=batch_size,
+        concurrency=concurrency, num_cpus=1)
+    # a failed batch raises its own exception type, as it does in the driver
+    ds.context.raise_original_map_exception = True
+    return [b for b in ray.get(ds.to_arrow_refs()) if len(b)]
 
 
 def run_rewrite_job(

@@ -127,9 +127,7 @@ class SilverPipeline:
         if mode == "overwrite":
             from raylake.ops.append import write_entries
 
-            # materialized once: the byte-cap probe and the write would
-            # otherwise each run the dedup shuffle
-            entries = write_entries(target, result.materialize())
+            entries = write_entries(target, result)
             replaced = {e.path for e in target.live_entries()}
             return target.commit("overwrite", entries, replaced_paths=replaced,
                                  expected_parent=target.current_seq)

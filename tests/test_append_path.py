@@ -1,10 +1,11 @@
 """Appends of in-memory Arrow tables (`ops/rewrite.py:write_batches`): one
-byte-capped batch is written in the driver, more as plain Ray tasks. Both
+byte-capped batch is written in the driver, more through Ray Data. Both
 must write the files a Ray Data append of the same rows writes, and a
 failed batch must leave nothing but orphans that expiry removes."""
 
 import hashlib
 import os
+import uuid
 from collections import defaultdict
 
 import numpy as np
@@ -13,7 +14,6 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-import raylake.ops.rewrite as rewrite
 from raylake.core.schema import TRANSCRIPT_SCHEMA
 from raylake.core.table import Table
 from raylake.fixtures.transcripts import write_transcript_table
@@ -38,28 +38,15 @@ def _file_digests(t: Table) -> dict[int, list[str]]:
     return {p: sorted(v) for p, v in by.items()}
 
 
-def _count_bins(monkeypatch):
-    calls = []
-
-    def counting(fn, bins, *a, **kw):
-        calls.append(len(bins))
-        return run_bins(fn, bins, *a, **kw)
-
-    run_bins = rewrite.run_bins
-    monkeypatch.setattr(rewrite, "run_bins", counting)
-    return calls
-
-
 @pytest.mark.parametrize("batch_size", [None, 64])
 def test_in_memory_append_writes_the_ray_data_files(
-        tmp_path, ray_session, monkeypatch, batch_size):
-    """One batch (driver) and seven batches (Ray tasks) write, per bucket,
+        tmp_path, ray_session, batch_size):
+    """One batch (driver) and seven batches write, per bucket,
     the files a `ray.data.from_arrow` append writes: same count, same rows
     in the same order."""
     import ray.data
 
     rows = _rows(tmp_path)
-    calls = _count_bins(monkeypatch)
     got = {}
     for name, src in (("arrow", rows), ("dataset", ray.data.from_arrow(rows))):
         t = Table.create(str(tmp_path / name), TRANSCRIPT_SCHEMA,
@@ -70,12 +57,12 @@ def test_in_memory_append_writes_the_ray_data_files(
     assert got["arrow"] == got["dataset"]
     n_files = [len(v) for v in got["arrow"].values()]
     if batch_size is None:
-        assert calls == [] and set(n_files) == {1}
+        assert set(n_files) == {1}
     else:
-        assert calls == [7] and max(n_files) > 1  # 8 bins for 4 CPUs
+        assert max(n_files) > 1
 
 
-def test_multi_slice_append_matches_model(tmp_path, ray_session, monkeypatch):
+def test_multi_slice_append_matches_model(tmp_path, ray_session):
     rows = _rows(tmp_path, 1000)
     t = write_transcript_table(str(tmp_path / "tbl"), 600, rows_per_file=64,
                                num_buckets=4)
@@ -84,9 +71,7 @@ def test_multi_slice_append_matches_model(tmp_path, ray_session, monkeypatch):
         zero_copy_only=False), model["conv_id"].to_numpy(
             zero_copy_only=False))))
     assert len(new) > 100
-    calls = _count_bins(monkeypatch)
     append(t, new, batch_size=50, concurrency=1)
-    assert calls == [2]  # `concurrency=1`: two bins for its one slot
     want = pa.concat_tables([model, new]).sort_by(KEYS)
     assert t.refresh().scan_arrow(sort=True).equals(want)
 
@@ -121,6 +106,27 @@ def test_failed_slice_commits_nothing(tmp_path, ray_session, batch_size):
                          for e in t.live_entries()}
     assert not orphans & on_disk()
     assert t.scan_arrow(sort=True).equals(pre)
+
+
+def test_dataset_append_runs_its_plan_once(tmp_path, ray_session):
+    """Sizing the batches of a lazy Dataset must not run its plan a second
+    time: the upstream `map_batches` before a groupby runs once."""
+    import ray.data
+
+    marks = tmp_path / "marks"
+    marks.mkdir()
+
+    def mark(b):
+        (marks / uuid.uuid4().hex).touch()
+        return b
+
+    rows = _rows(tmp_path)
+    ds = (ray.data.from_arrow(rows).map_batches(mark, batch_format="pyarrow")
+          .groupby("conv_id").map_groups(lambda g: g, batch_format="pyarrow"))
+    t = Table.create(str(tmp_path / "tbl"), TRANSCRIPT_SCHEMA, num_buckets=4)
+    append(t, ds)
+    assert len(list(marks.iterdir())) == 1
+    assert t.scan_arrow(sort=True).equals(rows)
 
 
 def test_silver_overwrite_writes_through_append(tmp_path, ray_session):

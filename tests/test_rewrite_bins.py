@@ -226,7 +226,7 @@ def add(rows):
 new = renamed(model.slice(0, 200), "a1-")  # one batch: in the driver
 add(new)
 check("append", append(t, new))
-new = renamed(model.slice(0, 300), "a2-")  # five batches: two Ray tasks
+new = renamed(model.slice(0, 300), "a2-")  # five batches: Ray Data
 add(new)
 check("append-bins", append(t, new, batch_size=64))
 src = renamed(model.slice(0, 150), "o-")
