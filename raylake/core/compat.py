@@ -2,7 +2,8 @@
 
 `ensure_fsspec_http_importable` — Ray Data's path resolution probes
 `from fsspec.implementations.http import HTTPFileSystem` on EVERY
-`read_parquet` call (ray/data/datasource/path_util.py:153,
+file-based read (`read_source`, the catalog queries' source reads;
+ray/data/datasource/path_util.py:153,
 `_is_http_filesystem`) and treats `ModuleNotFoundError` as "no http fs".
 When aiohttp is not installed that import always fails, and a FAILED
 import is evicted from `sys.modules` — so two threads building Datasets

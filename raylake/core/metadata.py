@@ -78,9 +78,6 @@ class ManifestEntry:
     bytes: int
     stats: dict[str, list] = field(default_factory=dict)
     seq_added: int = -1  # snapshot sequence that added this file
-    # the writer's Table.schema_id; None for entries written before it was
-    # recorded
-    schema_id: int | None = None
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -94,7 +91,6 @@ class ManifestEntry:
             bytes=d["bytes"],
             stats=d.get("stats", {}),
             seq_added=d.get("seq_added", -1),
-            schema_id=d.get("schema_id"),
         )
 
     def overlaps(self, col: str, lo: Any, hi: Any) -> bool:

@@ -74,7 +74,6 @@ def _entry_for_file(path: str, t: Table) -> ManifestEntry:
         rows=num_rows,
         bytes=os.path.getsize(path),
         stats=stats,
-        schema_id=t.schema_id,  # the schema check above
     )
 
 

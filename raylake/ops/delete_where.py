@@ -3,9 +3,8 @@ merge-on-read position-delete commit.
 
 The missing half of `Table.delete_by_positions` — something has to PRODUCE
 (file_path, pos) pairs. `scan_with_lineage` exposes Iceberg's `_file` /
-`_pos` metadata columns: each file is read by exactly one task (positions
-index a file's own row order, so the reader must know file boundaries —
-`read_parquet` would merge/split them), ordinals are a free `arange`, and
+`_pos` metadata columns: the reader reads each file whole and on its own
+(positions index a file's own row order), ordinals are a free `arange`, and
 renamed/evolved files normalize to the logical schema before the predicate
 sees them. `delete_where` then filters distributed, ships ONLY the matched
 (file, pos) pairs to the driver, and commits one small delete parquet:
@@ -30,24 +29,17 @@ from raylake.core.table import LINEAGE_FILE, LINEAGE_POS, Table
 def scan_with_lineage(table: Table, columns: list[str] | None = None,
                       snapshot: int | None = None, live_only: bool = False):
     """Streaming Dataset of PHYSICAL rows with `_file` (manifest-relative
-    path) and `_pos` (row ordinal within that file) metadata columns, one
-    file per task (`Table.live_reader(lineage=True)`). By default rows
+    path) and `_pos` (row ordinal within that file) metadata columns: the
+    scan's one Ray read with `Table.live_reader(lineage=True)`, whose
+    tasks read their files one by one. By default rows
     already hidden by merge-on-read delete files are included — the
     raw-file view provenance tools need. With `live_only=True` committed
     position deletes and applicable equality deletes (the `seq_added <
     seq` rule) are subtracted per file, so only logically LIVE rows flow —
     `_pos` still indexes the file's raw row order (assigned before any
     mask)."""
-    import ray.data
-
-    entries = table.live_entries(snapshot)
-    if not entries:
-        empty = table.schema.empty_table()
-        empty = empty.append_column(LINEAGE_FILE, pa.array([], pa.string()))
-        empty = empty.append_column(LINEAGE_POS, pa.array([], pa.int64()))
-        return ray.data.from_arrow(empty)
-    return table._read_tasks(entries, columns, snapshot, live_only,
-                             lineage=True)
+    return table._live_dataset(table.live_entries(snapshot), columns,
+                               snapshot, live_only, lineage=True)
 
 
 def delete_where(table: Table,

@@ -439,7 +439,7 @@ def _task_source(table: Table, task: dict, params: dict,
     src = (
         # partitioning=None: the list+filters path goes through the dataset
         # API, which would otherwise hive-infer the staging dir's `b=NNNNN`
-        # as a phantom column (same Ray 2.49/pyarrow trap as Table.scan)
+        # as a phantom column
         pq.read_table(staged, filters=filters or None,
                       partitioning=None).combine_chunks()
         if staged

@@ -44,12 +44,10 @@ def scan_query(
     snapshot: int | None = None,
 ):
     """Parameterized SELECT over a snapshot-pinned scan (S6). `where` is a
-    pyarrow dataset expression pushed into the read (row-group pruning);
-    order/limit/offset run on the Dataset."""
-    kwargs = {}
-    if where is not None:
-        kwargs["filter"] = where
-    ds = table.scan(snapshot=snapshot, columns=columns, **kwargs)
+    pyarrow dataset expression that the scan applies to each file's rows
+    after decode (no row group is skipped); order/limit/offset run on the
+    Dataset."""
+    ds = table.scan(snapshot=snapshot, columns=columns, filter=where)
     if order_by:
         ds = ds.sort([c for c, _ in order_by],
                      descending=[d == "desc" for _, d in order_by])

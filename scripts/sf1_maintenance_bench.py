@@ -75,6 +75,7 @@ def main():
         "ray.data._internal.arrow_ops.transform_pyarrow"
     ).setLevel(logging.ERROR)
 
+    from bench import scan_rows
     from raylake.fixtures.transcripts import gen_late_from_meta_ds
     from raylake.pipelines.maintenance import (
         build_bench_table,
@@ -98,7 +99,7 @@ def main():
                                  seed=7).materialize()
     late_sec = round(time.monotonic() - t0, 1)
     os.sync()
-    table.scan().count()  # warm
+    scan_rows(table)  # warm
 
     # Metadata-tree coalescing on a REALISTIC fragmented tree (review
     # finding: the bulk-built fixture has ONE manifest, so timing the op
@@ -139,7 +140,7 @@ def main():
     queries["rewrite_manifests_noop"] = round(time.monotonic() - t, 3)
     queries["rewrite_manifests_noop_skipped"] = snap2 is None
     t = time.monotonic()
-    n_scan = table.scan().count()
+    n_scan = scan_rows(table)
     queries["full_scan"] = round(time.monotonic() - t, 3)
     t = time.monotonic()
     conv = f"conv-{len(sizes) // 2:08d}"

@@ -178,8 +178,8 @@ def test_file_committed_after_add_column_reads_current_schema(
     assert _rows(_ds_rows(t.scan())).equals(_rows(whole))
     assert _rows(_ds_rows(t.scan(columns=cols))).equals(
         _rows(whole.select(cols)))
-    # a read_parquet option the per-file tasks cannot honour raises
-    with pytest.raises(ValueError, match="override_num_blocks"):
+    # an unknown read option raises rather than being dropped
+    with pytest.raises(TypeError, match="override_num_blocks"):
         t.scan(override_num_blocks=2)
 
 

@@ -188,6 +188,7 @@ from raylake.core.deletes import KeySet
 from raylake.fixtures.transcripts import write_transcript_table
 from raylake.ops import (append, apply_deletes, compact, merge_into,
                          overwrite_partitions, zorder)
+from raylake.ops.delete_where import delete_where
 from raylake.ops.rewrite import byte_capped_batch_size
 
 t = write_transcript_table(sys.argv[1], 1500, rows_per_file=64,
@@ -245,6 +246,18 @@ add(src)
 snap = merge_into(t, src)
 check("merge-batches", snap if byte_capped_batch_size(src) < len(src)
       else None)
+
+def check_scan(name):
+    got = pa.concat_tables(ray.get(t.scan().to_arrow_refs())).sort_by(
+        [(c, "ascending") for c in t.sort_order])
+    print(name, got.equals(model) and t.scan().count() == len(model),
+          flush=True)
+
+check_scan("scan")
+model = model.filter(pc.not_equal(model["turn_idx"], 1))
+check("delete_where", delete_where(t, lambda b: pc.equal(b["turn_idx"], 1),
+                                   columns=["turn_idx"]))
+check_scan("scan-after-delete")
 ray.shutdown()
 """
 
@@ -253,11 +266,12 @@ def test_rewrite_ops_on_one_cpu(tmp_path):
     """On a 1-CPU Ray session a job's two bins queue on one slot: every
     rewrite op, append and overwrite, in one batch or several, and a merge
     whose source stages in two batches must still finish and keep the scan
-    equal to the model."""
+    equal to the model. So must `Table.scan`, whose two read tasks also
+    share the slot, and `delete_where`, which reads through it."""
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ops = ("compact", "zorder", "copy-on-write", "merge-on-read",
            "apply_deletes", "append", "append-bins", "overwrite",
-           "merge-batches")
+           "merge-batches", "scan", "delete_where", "scan-after-delete")
     child = subprocess.Popen(
         [sys.executable, "-c", _ONE_CPU, str(tmp_path / "tbl")], cwd=repo,
         env=dict(os.environ, RAY_ADDRESS="", PYTHONPATH=repo),
